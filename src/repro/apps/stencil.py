@@ -12,12 +12,18 @@ this window).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.apps.base import CORE_SPEED_FLOPS
-from repro.runtime.chare import Chare, ChareArray
+from repro.runtime.chare import (
+    Chare,
+    ChareArray,
+    WorkRow,
+    check_work_row,
+    runs_own,
+)
 from repro.util import check_non_negative, check_positive
 
 __all__ = ["StencilStripChare", "build_strip_array"]
@@ -115,6 +121,39 @@ class StencilStripChare(Chare):
             return self._base_work
         phase = 0.7 * iteration + 2.3 * self.index + self._jitter_phase
         return self._base_work * (1.0 + amp * _sin(phase))
+
+    @classmethod
+    def work_rows(cls, chares: Sequence[Chare]) -> WorkRow:
+        """:meth:`work` for every strip at once, bitwise equal per entry.
+
+        The same float expressions evaluated element-wise in NumPy, with
+        the scalar ``math.sin`` mapped over the phases (``np.sin`` may
+        differ from it in the last bit). Strips without jitter reduce to
+        the constant base cost, exactly as :meth:`work` does.
+        """
+        chares = list(chares)
+        if not runs_own(chares, StencilStripChare, ("work",)):
+            return super().work_rows(chares)
+        base = np.array([c._base_work for c in chares])
+        amp = np.array([c.jitter_amp for c in chares])
+        if not amp.any():
+            base.flags.writeable = False
+            return lambda iteration: base
+        offset = np.array([2.3 * c.index for c in chares])
+        phase0 = np.array([c._jitter_phase for c in chares])
+        n = len(chares)
+        # 1 + amp·sin can only go negative when some amplitude exceeds 1
+        check = bool(amp.max() > 1.0)
+
+        def row(iteration: int) -> np.ndarray:
+            phase = (0.7 * iteration + offset) + phase0
+            s = np.fromiter(map(_sin, phase.tolist()), float, n)
+            out = base * (1.0 + amp * s)
+            if check:
+                check_work_row(chares, iteration, out)
+            return out
+
+        return row
 
     def execute(self, iteration: int) -> None:
         """Run the real 5-point sweep on this strip (validation mode).

@@ -29,6 +29,8 @@ ChareKey = Tuple[str, int]  #: (array name, index) — hashable chare identity
 
 _INF = float("inf")
 
+_new = object.__new__
+
 
 @dataclass(frozen=True)
 class TaskRecord:
@@ -221,6 +223,15 @@ class LBDatabase:
             for chare, partners in (comm or {}).items()
         }
         self._task_cpu: Dict[ChareKey, float] = {}
+        # (state_bytes, comm) of every chare whose static record fields
+        # pass TaskRecord's checks: build_view skips re-validating them
+        self._checked: Dict[ChareKey, Tuple[float, Tuple]] = {
+            chare: (nbytes, self._comm.get(chare, ()))
+            for chare, nbytes in self._state_bytes.items()
+            if type(nbytes) is float
+            and 0.0 <= nbytes < _INF
+            and all(v >= 0 for _, v in self._comm.get(chare, ()))
+        }
         self._window_start: Dict[int, CoreStatSnapshot] = procstat.snapshot_all()
         self._window_started_at = min(
             (s.time for s in self._window_start.values()), default=0.0
@@ -241,6 +252,7 @@ class LBDatabase:
         """Register/refresh a chare's serialised size."""
         check_non_negative("nbytes", nbytes)
         self._state_bytes[chare] = nbytes
+        self._checked.pop(chare, None)
 
     # ------------------------------------------------------------------
     # view construction
@@ -254,31 +266,55 @@ class LBDatabase:
             Current chare -> core assignment from the runtime.
         """
         snaps = self._procstat.snapshot_all()
-        per_core_tasks: Dict[int, List[TaskRecord]] = {
-            cid: [] for cid in self._procstat.core_ids()
-        }
+        core_ids = self._procstat.core_ids()
+        per_core: Dict[int, List[ChareKey]] = {cid: [] for cid in core_ids}
         for chare, core_id in mapping.items():
-            if core_id not in per_core_tasks:
+            keys = per_core.get(core_id)
+            if keys is None:
                 raise ValueError(
                     f"chare {chare} mapped to core {core_id} outside the job"
                 )
-            per_core_tasks[core_id].append(
-                TaskRecord(
-                    chare=chare,
-                    cpu_time=self._task_cpu.get(chare, 0.0),
-                    state_bytes=self._state_bytes.get(chare, 0.0),
-                    comm=self._comm.get(chare, ()),
-                )
-            )
+            keys.append(chare)
+        task_cpu = self._task_cpu
+        checked = self._checked
         cores = []
         window = 0.0
-        for cid in self._procstat.core_ids():
+        # Records whose fields already pass every __post_init__ check skip
+        # the frozen-dataclass __init__; they are the same equal,
+        # hashable TaskRecord / CoreLoad objects.
+        for cid in core_ids:
             delta = snaps[cid].delta(self._window_start[cid])
             window = max(window, delta.time)
-            tasks = tuple(sorted(per_core_tasks[cid], key=lambda t: t.chare))
+            keys = per_core[cid]
+            keys.sort()
+            tasks = []
+            for chare in keys:
+                cpu = task_cpu.get(chare, 0.0)
+                static = checked.get(chare)
+                if static is not None and type(cpu) is float and 0.0 <= cpu < _INF:
+                    rec = _new(TaskRecord)
+                    rec.__dict__.update(
+                        chare=chare,
+                        cpu_time=cpu,
+                        state_bytes=static[0],
+                        comm=static[1],
+                    )
+                else:
+                    rec = TaskRecord(
+                        chare=chare,
+                        cpu_time=cpu,
+                        state_bytes=self._state_bytes.get(chare, 0.0),
+                        comm=self._comm.get(chare, ()),
+                    )
+                tasks.append(rec)
             task_sum = sum(t.cpu_time for t in tasks)
             bg = ProcStat.background_load(delta, task_sum)
-            cores.append(CoreLoad(core_id=cid, tasks=tasks, bg_load=bg))
+            if type(bg) is float and 0.0 <= bg < _INF:
+                load = _new(CoreLoad)
+                load.__dict__.update(core_id=cid, tasks=tuple(tasks), bg_load=bg)
+            else:
+                load = CoreLoad(core_id=cid, tasks=tuple(tasks), bg_load=bg)
+            cores.append(load)
         return LBView(cores=tuple(cores), window=window)
 
     def reset_window(self) -> None:

@@ -16,13 +16,18 @@ objects needs to be more than the number of available processors"
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util import check_non_negative, check_positive
 
-__all__ = ["Chare", "ChareArray"]
+__all__ = ["Chare", "ChareArray", "WorkRow", "check_work_row", "runs_own"]
 
 ChareKey = Tuple[str, int]
+
+#: ``row(iteration)`` -> float64 array of every chare's work, in order.
+WorkRow = Callable[[int], np.ndarray]
 
 _INF = float("inf")
 
@@ -78,6 +83,33 @@ class Chare:
         """
         raise NotImplementedError
 
+    @classmethod
+    def work_rows(cls, chares: Sequence["Chare"]) -> WorkRow:
+        """Build ``row(iteration)``: all of ``chares``' work as one array.
+
+        Simulators that advance a whole iteration at once read one row per
+        iteration instead of calling :meth:`work` per task. A row must be
+        bitwise equal to ``[c.work(iteration) for c in chares]``. This
+        generic builder makes exactly those calls; subclasses with a
+        closed-form cost model override it with a NumPy evaluation of the
+        same float expressions (see :mod:`repro.apps.stencil`). Any row
+        raises ``ValueError`` on a negative work value.
+        """
+        chares = list(chares)
+
+        def row(iteration: int) -> np.ndarray:
+            out = []
+            for c in chares:
+                d = c.work(iteration)
+                if d < 0:
+                    raise ValueError(
+                        f"{c!r}.work({iteration}) returned negative {d}"
+                    )
+                out.append(d)
+            return np.array(out, dtype=float)
+
+        return row
+
     def execute(self, iteration: int) -> None:
         """Perform the real computation for ``iteration`` (optional).
 
@@ -90,6 +122,37 @@ class Chare:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.array_name}[{self.index}])"
+
+
+def runs_own(chares: Sequence[Chare], owner: type, methods: Tuple[str, ...]) -> bool:
+    """True when every chare runs ``owner``'s own ``methods`` unchanged.
+
+    A vectorized row builder is only exact for the cost model it
+    transcribes: a subclass or instance overriding one of ``methods``
+    must take the generic per-call row instead. The comparison reads the
+    class attributes as they are now, so a behaviour-preserving wrapper
+    installed on ``owner`` itself (a profiler counting calls) keeps the
+    vectorized row.
+    """
+    for c in chares:
+        if not isinstance(c, owner):
+            return False
+        cls = type(c)
+        attrs = vars(c)
+        for name in methods:
+            if name in attrs or getattr(cls, name) is not getattr(owner, name):
+                return False
+    return True
+
+
+def check_work_row(chares: Sequence[Chare], iteration: int, row: np.ndarray) -> None:
+    """Raise the per-call ``ValueError`` for the first negative entry."""
+    neg = row < 0.0
+    if neg.any():
+        i = int(np.argmax(neg))
+        raise ValueError(
+            f"{chares[i]!r}.work({iteration}) returned negative {float(row[i])}"
+        )
 
 
 class ChareArray:

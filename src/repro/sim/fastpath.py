@@ -22,12 +22,21 @@ same primitive operations, so IEEE-754 produces the same bits:
   chain under processor sharing with a single runnable process completes
   at the fold ``end_k = end_{k-1} + demand_k`` — exactly the floats the
   engine's dispatch/projection events produce, because a solo share is
-  ``w/w == 1.0`` and ``dt * 1.0 == dt``. The chain is evaluated as a NumPy
-  prefix sum (``np.add.accumulate`` is a sequential left fold) for large
-  chains and a scalar loop for short ones — identical results; a unit
-  test pins that equivalence. The engine's completion-epsilon
-  re-projection (``remaining > 1e-9`` at the projected completion) is
-  detected from the residuals and re-run in exact scalar form.
+  ``w/w == 1.0`` and ``dt * 1.0 == dt``. Demands come from one *work
+  row* per iteration: each chare class builds it next to its ``work()``
+  (``Chare.work_rows``; NumPy over the same float expressions, bitwise
+  equal to the per-chare calls, or those very calls for any class
+  without its own builder). From ``_SOLO_VEC_MIN`` solo tasks per
+  iteration on, every solo core of the iteration folds at once: the
+  chains are gathered into one zero-padded 2-D array (core per column)
+  and ``np.add.accumulate`` runs along the chare axis — a sequential left
+  fold per column, so ends, CPU shares and running totals are the
+  scalar fold's floats. Fewer tasks fold core by core in a scalar loop,
+  which costs less than the NumPy calls there. Either way the solo cores
+  report one grouped barrier arrival at their last end instead of one
+  per core. The engine's completion-epsilon re-projection (``remaining
+  > 1e-9`` at the projected completion) is detected from the residuals
+  and re-run in exact scalar form.
 * **Contended cores** (application and background sharing a core, the
   paper's Figure 1 mechanism): advanced by an *analytic contention fold*.
   Under proportional sharing with a piecewise-constant runnable set the
@@ -103,6 +112,17 @@ ChareKey = Tuple[str, int]
 #: Below this many tasks the scalar chain fold beats NumPy call overhead.
 _VEC_MIN = 16
 
+#: Below this many solo tasks per iteration (summed over the solo cores)
+#: the per-core scalar fold beats the fixed cost of the 2-D NumPy fold.
+#: Measured per iteration (fold plus barrier) on Jacobi2D without a
+#: co-runner, CPython 3.11 on a 2-vCPU Xeon VM: both cost the same at 48
+#: tasks; the 2-D fold costs ~1.7x the scalar one at 32 and saves ~7%,
+#: ~30% and ~37% at 64, 96 and 128.
+_SOLO_VEC_MIN = 48
+
+#: appended to a work row: the padding of the 2-D solo fold
+_ZERO = np.zeros(1)
+
 #: Below this many remaining iterations the scalar batched loop beats the
 #: fixed NumPy setup cost of the whole-run iteration fold.
 _BATCH_VEC_MIN = 8
@@ -166,10 +186,10 @@ class _FastSim:
                 if arg == obj.version:  # else: stale candidate, skip
                     self.now = time
                     obj.on_completion(time)
-            elif kind == _EV_ARRIVE:
+            elif kind == _EV_ARRIVE:  # arg: how many cores arrive
                 self.now = time
                 obj._pending_arrives -= 1
-                obj._core_drained(time)
+                obj._core_drained(time, arg)
             elif kind == _EV_BEGIN:
                 self.now = time
                 obj._begin_iteration(arg, time)
@@ -186,20 +206,19 @@ class _FastProc:
 
     The object doubles as the job's per-core dispatch cursor: it is
     recycled for every task of its job's queue on ``core`` within an
-    iteration, carrying the queue (``keys``/``chs``/``qpos``) so a
+    iteration, carrying the queue (``keys``/``slots``/``qpos``) so a
     completion can dispatch the next task without any dict lookups.
     """
 
     __slots__ = (
-        "job", "key", "chare", "owner", "weight",
+        "job", "key", "owner", "weight",
         "remaining", "cpu_time", "started_at", "cid", "rank",
-        "core", "keys", "chs", "qpos",
+        "core", "keys", "slots", "qpos",
     )
 
-    def __init__(self, job, key, chare, weight, remaining, started_at, cid, rank):
+    def __init__(self, job, key, weight, remaining, started_at, cid, rank):
         self.job = job
         self.key = key
-        self.chare = chare
         self.owner = job.name
         self.weight = weight
         self.remaining = remaining
@@ -209,7 +228,7 @@ class _FastProc:
         self.rank = rank
         self.core = None
         self.keys = ()
-        self.chs = ()
+        self.slots = ()
         self.qpos = 0
 
 
@@ -386,10 +405,7 @@ class _FastCore:
         # single hottest block — one call frame instead of three)
         job = p.job
         cpu = p.cpu_time
-        ch = p.chare
-        ch.executions += 1
-        ch.total_cpu_time += cpu
-        # direct window-dict accumulation (see _run_solo_core): the share
+        # direct window-dict accumulation (see _run_solo_cores): the share
         # arithmetic only ever yields non-negative floats
         tc = job.db._task_cpu
         tc[p.key] = tc.get(p.key, 0.0) + cpu
@@ -406,15 +422,8 @@ class _FastCore:
             # it carries the queue cursor, so no dict lookups here). The
             # accrue(t) above guarantees self.last == t, so no re-accrual.
             p.qpos = pos + 1
-            nxt = p.chs[pos]
-            d = nxt.work(job._iteration)
-            if d < 0:
-                raise ValueError(
-                    f"{nxt!r}.work({job._iteration}) returned negative {d}"
-                )
             p.key = keys[pos]
-            p.chare = nxt
-            p.remaining = d
+            p.remaining = job._work[p.slots[pos]]
             p.cpu_time = 0.0
             p.started_at = t
             procs.append(p)
@@ -429,6 +438,41 @@ class _FastCore:
             # re-project the surviving co-runner ourselves
             self.change(t)
             procs[self._cand_proc].job._fold_resume()
+
+
+class _SoloLayout:
+    """Gather layout of the 2-D solo fold over one set of solo cores.
+
+    ``idx[i, j]`` is the row slot of the ``i``-th task on core ``j``, or
+    the zero appended past the row's end where the core has fewer tasks;
+    ``mask`` marks the real tasks. ``keys``/``slots``/``ranks`` list the
+    real tasks in ``array[mask]`` order.
+    """
+
+    __slots__ = ("cids", "cores", "idx", "mask", "keys", "slots", "ranks")
+
+    @classmethod
+    def build(cls, job: "_FastJob", ranks: Tuple[int, ...]) -> Optional["_SoloLayout"]:
+        """The layout for ``ranks``, or None below ``_SOLO_VEC_MIN`` tasks."""
+        cids = [job.core_ids[r] for r in ranks]
+        per = [job._percore_slots[cid] for cid in cids]
+        counts = [len(slots) for slots in per]
+        if sum(counts) < _SOLO_VEC_MIN:
+            return None
+        pad = len(job._slot)
+        idx = np.full((max(counts), len(cids)), pad, dtype=np.intp)
+        for j, slots in enumerate(per):
+            idx[: counts[j], j] = slots
+        mask = idx != pad
+        lay = cls()
+        lay.cids = cids
+        lay.cores = [job.cores[cid] for cid in cids]
+        lay.idx = idx
+        lay.mask = mask
+        lay.keys = [job._percore_keys[cids[j]][i] for i, j in zip(*np.nonzero(mask))]
+        lay.slots = idx[mask]
+        lay.ranks = np.broadcast_to(np.array(ranks, dtype=float), idx.shape)[mask]
+        return lay
 
 
 class _FastJob:
@@ -496,12 +540,27 @@ class _FastJob:
         self._on_finish: List[Callable[["_FastJob"], None]] = []
         # per-iteration completion buffer: (end, sched, core_rank, cpu).
         # Sorted at the barrier, this reproduces the engine's chronological
-        # (time, event-seq) fold order for total_task_cpu_s.
+        # (time, event-seq) fold order for total_task_cpu_s. The 2-D solo
+        # fold adds the same four columns as arrays to _completion_cols.
         self._completions: List[Tuple[float, float, int, float]] = []
-        # per-core sorted task lists, rebuilt after migrations
+        self._completion_cols: List[Tuple[np.ndarray, ...]] = []
+        # this iteration's work row (chare slot order, see _launch): the
+        # array feeds the 2-D solo fold, the list (None until a scalar
+        # site needs it) every per-task dispatch
+        self._row_fn = None
+        self._row: Optional[np.ndarray] = None
+        self._work: Optional[List[float]] = None
+        self._slot: Dict[ChareKey, int] = {}
+        # per-core sorted task keys and their row slots, rebuilt after
+        # migrations, plus the 2-D fold layouts cached per solo-core set
         self._percore_keys: Dict[int, List[ChareKey]] = {}
-        self._percore_chares: Dict[int, list] = {}
+        self._percore_slots: Dict[int, List[int]] = {}
+        self._solo_layouts: Dict[Tuple[int, ...], Optional[_SoloLayout]] = {}
+        self._splits: Dict[Tuple[bool, ...], tuple] = {}
         self._percore_dirty = True
+        # LB-window CPU of the chares the 2-D solo fold owns (_use_window)
+        self._win: Optional[np.ndarray] = None
+        self._win_layout: Optional[_SoloLayout] = None
         self._comm_delay_cache: Optional[float] = None
         for cid in core_ids:
             cores[cid].jobs.append(self)
@@ -551,6 +610,11 @@ class _FastJob:
         if self.comm_graph is not None:
             comm = {key: self.comm_graph.neighbors(key) for key in self.chares}
         self.db = LBDatabase(procstat, state_bytes, comm=comm)
+        # built at launch, after any per-instance work() binding
+        chares = list(self.chares.values())
+        self._slot = {c.key: i for i, c in enumerate(chares)}
+        self._row_fn = type(chares[0]).work_rows(chares)
+        self._win = np.zeros(len(chares))
         if self.telemetry is not None:
             self._bg_window_base = self._true_bg_cpu()
         self._begin_iteration(0, t)
@@ -559,12 +623,14 @@ class _FastJob:
         per: Dict[int, List[ChareKey]] = {cid: [] for cid in self.core_ids}
         for key, cid in self.mapping.items():
             per[cid].append(key)
-        chares = self.chares
+        slot = self._slot
         self._percore_keys = {cid: sorted(per[cid]) for cid in self.core_ids}
-        self._percore_chares = {
-            cid: [chares[k] for k in keys]
+        self._percore_slots = {
+            cid: [slot[k] for k in keys]
             for cid, keys in self._percore_keys.items()
         }
+        self._solo_layouts = {}
+        self._splits = {}
         self._percore_dirty = False
 
     def _solo(self, core: _FastCore) -> bool:
@@ -611,209 +677,238 @@ class _FastJob:
         self._expected = len(self.core_ids)
         if self._percore_dirty:
             self._rebuild_percore()
-        sim = self.sim
-        empty = 0
-        contended: List[_FastCore] = []
-        for rank, cid in enumerate(self.core_ids):
-            keys = self._percore_keys[cid]
-            if not keys:
-                empty += 1
-                continue
-            core = self.cores[cid]
-            if self._solo(core):
-                end = self._run_solo_core(
-                    core, cid, keys, self._percore_chares[cid],
-                    iteration, T, rank,
-                )
-                sim.push(end, _EV_ARRIVE, self, 0)
-            else:
-                self._dispatch(cid, 0, T, rank)
-                contended.append(core)
-        for _ in range(empty):  # object-less cores arrive instantly
-            self._core_drained(T)
+        # which cores may fold analytically depends only on which other
+        # jobs are still running
+        state = tuple([other.finished_at is None for other in self.others])
+        split = self._splits.get(state)
+        if split is None:
+            split = self._splits[state] = self._split_cores()
+        solo, contended, empty = split
+        self._next_row(iteration)
+        if solo:
+            # one grouped arrival at the last solo end: arrivals only
+            # count cores in, so the barrier fires at the same time
+            end = self._run_solo_cores(solo, iteration, T)
+            self.sim.push(end, _EV_ARRIVE, self, len(solo))
+        else:
+            self._use_window(None)
         if contended:
-            self._fold_contended_cores(contended)
+            if self._work is None:
+                self._work = self._row.tolist()
+            for rank in contended:
+                self._dispatch(self.core_ids[rank], 0, T, rank)
+        if empty:  # object-less cores arrive instantly
+            self._core_drained(T, empty)
+        if contended:
+            self._fold_contended_cores(
+                [self.cores[self.core_ids[rank]] for rank in contended]
+            )
+
+    def _next_row(self, iteration: int) -> None:
+        row = self._row_fn(iteration)
+        if row is not self._row:  # constant rows keep their list
+            self._row = row
+            self._work = None
+
+    def _split_cores(self) -> Tuple[Tuple[int, ...], List[int], int]:
+        """(solo ranks, contended ranks, empty-core count) right now."""
+        solo: List[int] = []
+        contended: List[int] = []
+        empty = 0
+        for rank, cid in enumerate(self.core_ids):
+            if not self._percore_keys[cid]:
+                empty += 1
+            elif self._solo(self.cores[cid]):
+                solo.append(rank)
+            else:
+                contended.append(rank)
+        return tuple(solo), contended, empty
 
     # -- solo-analytic advancement -------------------------------------
-    def _run_solo_core(
-        self, core, cid, keys, chs, iteration, T, rank
+    def _run_solo_cores(
+        self, ranks: Tuple[int, ...], iteration: int, T: float
     ) -> float:
-        """Advance one core's whole iteration without events.
+        """Advance the whole iteration of the solo cores ``ranks``.
 
-        Returns the barrier-arrival time. Every fold replicates the
+        Returns their last barrier arrival. Every fold replicates the
         accrual the engine performs at the corresponding dispatch or
         completion event (solo share is exactly 1.0, so each task's
         accrued CPU equals ``end_k - end_{k-1}``).
         """
+        layout = self._solo_layouts.get(ranks, False)
+        if layout is False:
+            layout = self._solo_layouts[ranks] = _SoloLayout.build(self, ranks)
+        self._use_window(layout)
+        if layout is not None:
+            end = self._fold_solo_vec(layout, iteration, T)
+            if end is not None:
+                return end
+            self._use_window(None)
+        return self._fold_solo_scalar(ranks, iteration, T)
+
+    def _use_window(self, layout: Optional[_SoloLayout]) -> None:
+        """Keep each chare's LB-window CPU where its next addition goes.
+
+        The 2-D solo fold adds a whole iteration to the slot-indexed
+        array ``_win`` in one NumPy op; every scalar site adds plain
+        floats to the LB database's window dict. A chare's running total
+        lives in exactly one of them and moves when its fold changes
+        (a co-runner finishing, an LB step), so its additions still
+        happen one per iteration, in order.
+        """
+        old = self._win_layout
+        if old is layout:
+            return
+        tc = self.db._task_cpu
+        if old is not None:
+            tc.update(zip(old.keys, self._win[old.slots].tolist()))
+        if layout is not None:
+            pop = tc.pop
+            self._win[layout.slots] = [pop(k, 0.0) for k in layout.keys]
+        self._win_layout = layout
+
+    def _fold_solo_vec(
+        self, layout: _SoloLayout, iteration: int, T: float
+    ) -> Optional[float]:
+        """All solo cores in one padded 2-D fold along the chare axis.
+
+        Column ``j`` holds core ``j``'s chain, zero-padded to the longest
+        (``x + 0.0 == x``); ``np.add.accumulate`` along axis 0 is a
+        sequential left fold per column, so every end, CPU share and
+        running total is the scalar fold's float. Returns the last end,
+        or None — committing nothing — when a residual exceeds the
+        completion epsilon (the engine would re-project).
+        """
+        idx = layout.idx
+        mask = layout.mask
+        m, n = idx.shape
+        work = np.concatenate((self._row, _ZERO)).take(idx)
+        ends = np.empty((m + 1, n))
+        ends[0] = T
+        ends[1:] = work
+        np.add.accumulate(ends, axis=0, out=ends)
+        cpus = ends[1:] - ends[:-1]
+        if float((work - cpus).max()) > _COMPLETION_EPS:
+            return None
+        cores = layout.cores
+        name = self.name
+        led = self.ledger
+        # busy time, own CPU and wall, each folded from its start value
+        sums = np.empty((m + 1, 3, n))
+        sums[0, 0] = [core.busy_time for core in cores]
+        sums[0, 1] = [core.cpu_by_owner.get(name, 0.0) for core in cores]
+        sums[0, 2] = 0.0
+        sums[1:] = cpus[:, None, :]
+        np.add.accumulate(sums, axis=0, out=sums)
+        busy_l, own_l, wall_l = sums[-1].tolist()
+        last_l = ends[-1].tolist()
+        walls = self._iter_core_wall
+        for core, busy, own, wall, last in zip(cores, busy_l, own_l, wall_l, last_l):
+            dt = T - core.last
+            if dt > 0.0:  # idle gap since the core's last activity
+                if led is not None:
+                    led.accrue(core.core_id, core.last, T, ())
+                core.idle_time += dt
+            core.busy_time = busy
+            core.cpu_by_owner[name] = own
+            core.last = last
+            walls[core.core_id] = wall
+        flat_cpus = cpus[mask]
+        self._win[layout.slots] += flat_cpus
+        self._completion_cols.append(
+            (ends[1:][mask], ends[:-1][mask], layout.ranks, flat_cpus)
+        )
+        lin = self.lineage
+        if led is not None or lin is not None:
+            for cid, e_col, c_col in zip(layout.cids, ends.T.tolist(), cpus.T.tolist()):
+                for i, k in enumerate(self._percore_keys[cid]):
+                    if lin is not None:
+                        lin.record_sample(k, iteration, cid, c_col[i])
+                    if led is not None:
+                        led.accrue_app(cid, e_col[i], e_col[i + 1], k)
+        return max(last_l)
+
+    def _fold_solo_scalar(
+        self, ranks: Tuple[int, ...], iteration: int, T: float
+    ) -> float:
+        """The solo fold core by core, task by task (engine re-projections
+        included)."""
+        work = self._work
+        if work is None:
+            work = self._work = self._row.tolist()
+        cores = self.cores
+        name = self.name
         led = self.ledger
         lin = self.lineage
-        if len(chs) == 1:
-            # one task per core — the shape of every batched background
-            # iteration; same arithmetic as the scalar fold below, minus
-            # the list building and loop machinery
-            ch = chs[0]
-            d = ch.work(iteration)
-            if d < 0:
-                raise ValueError(
-                    f"{ch!r}.work({iteration}) returned negative {d}"
-                )
-            dt = T - core.last
-            if dt > 0.0:
-                if led is not None:
-                    # no runnable procs in the gap: idle, or LB pause
-                    led.accrue(cid, core.last, T, ())
-                core.idle_time += dt
-            cbo = core.cpu_by_owner
-            name = self.name
-            busy = core.busy_time
-            own = cbo.get(name, 0.0)
-            sched = T
-            e = T + d
-            c = e - T
-            rem = d - c
-            busy += c
-            own += c
-            cpu = c
-            t = e
-            while rem > _COMPLETION_EPS:
-                sched = t
-                e = t + rem
-                dtx = e - t
-                busy += dtx
-                own += dtx
-                cpu += dtx
-                rem -= dtx
-                t = e
-            ch.executions += 1
-            ch.total_cpu_time += cpu
-            k = keys[0]
-            tc = self.db._task_cpu
-            tc[k] = tc.get(k, 0.0) + cpu
-            if lin is not None:
-                lin.record_sample(k, iteration, cid, cpu)
-            self._completions.append((t, sched, rank, cpu))
-            core.busy_time = busy
-            cbo[name] = own
-            core.last = t
-            if led is not None:
-                # the task ran alone: the whole interval is its compute
-                led.accrue_app(cid, T, t, k)
-            self._iter_core_wall[cid] = t - T
-            return t
-        work = []
-        for ch in chs:
-            d = ch.work(iteration)
-            if d < 0:
-                raise ValueError(
-                    f"{ch!r}.work({iteration}) returned negative {d}"
-                )
-            work.append(d)
-        dt = T - core.last
-        if dt > 0.0:  # idle gap since the core's last activity
-            if led is not None:
-                led.accrue(cid, core.last, T, ())
-            core.idle_time += dt
-        name = self.name
         # accumulate straight into the LB database's window dict — the
-        # record_task wrapper only adds validation, and ``work`` was
-        # already checked non-negative above
+        # record_task wrapper only adds validation, and the row was
+        # already checked non-negative
         tc = self.db._task_cpu
         tc_get = tc.get
         comps = self._completions
-        busy = core.busy_time
-        own = core.cpu_by_owner.get(name, 0.0)
-        wall = 0.0
-        n = len(work)
-        if n >= _VEC_MIN:
-            arr = np.empty(n + 1)
-            arr[0] = T
-            arr[1:] = work
-            ends_v = np.add.accumulate(arr)  # sequential left fold
-            cpus_v = ends_v[1:] - ends_v[:-1]
-            if float(np.max(np.asarray(work) - cpus_v)) <= _COMPLETION_EPS:
-                ends = ends_v[1:].tolist()
-                cpus = cpus_v.tolist()
-                prev = T
-                for i in range(n):
-                    c = cpus[i]
-                    e = ends[i]
-                    busy += c
-                    own += c
-                    ch = chs[i]
-                    ch.executions += 1
-                    ch.total_cpu_time += c
-                    k = keys[i]
-                    tc[k] = tc_get(k, 0.0) + c
-                    if lin is not None:
-                        lin.record_sample(k, iteration, cid, c)
-                    wall += c  # == e - prev bit-for-bit
-                    comps.append((e, prev, rank, c))
-                    if led is not None:
-                        led.accrue_app(cid, prev, e, k)
-                    prev = e
-                core.busy_time = busy
-                core.cpu_by_owner[name] = own
-                core.last = prev
-                self._iter_core_wall[cid] = wall
-                return prev
-            # a residual exceeds the completion epsilon: the engine would
-            # re-project — fall through to the exact scalar replay
-        t = T
-        for i in range(n):
-            d = work[i]
-            start = t
-            sched = t
-            e = t + d
-            c = e - t
-            rem = d - c
-            busy += c
-            own += c
-            cpu = c
-            t = e
-            while rem > _COMPLETION_EPS:
-                # engine re-projection: new event at t + remaining
+        walls = self._iter_core_wall
+        last = T
+        for rank in ranks:
+            cid = self.core_ids[rank]
+            core = cores[cid]
+            dt = T - core.last
+            if dt > 0.0:  # idle gap since the core's last activity
+                if led is not None:
+                    led.accrue(cid, core.last, T, ())
+                core.idle_time += dt
+            busy = core.busy_time
+            own = core.cpu_by_owner.get(name, 0.0)
+            wall = 0.0
+            t = T
+            for k, slot in zip(self._percore_keys[cid], self._percore_slots[cid]):
+                d = work[slot]
+                start = t
                 sched = t
-                e = t + rem
-                dtx = e - t
-                busy += dtx
-                own += dtx
-                cpu += dtx
-                rem -= dtx
+                e = t + d
+                c = e - t
+                rem = d - c
+                busy += c
+                own += c
+                cpu = c
                 t = e
-            ch = chs[i]
-            ch.executions += 1
-            ch.total_cpu_time += cpu
-            k = keys[i]
-            tc[k] = tc_get(k, 0.0) + cpu
-            if lin is not None:
-                lin.record_sample(k, iteration, cid, cpu)
-            wall += t - start
-            comps.append((t, sched, rank, cpu))
-            if led is not None:
-                led.accrue_app(cid, start, t, k)
-        core.busy_time = busy
-        core.cpu_by_owner[name] = own
-        core.last = t
-        self._iter_core_wall[cid] = wall
-        return t
+                while rem > _COMPLETION_EPS:
+                    # engine re-projection: new event at t + remaining
+                    sched = t
+                    e = t + rem
+                    dtx = e - t
+                    busy += dtx
+                    own += dtx
+                    cpu += dtx
+                    rem -= dtx
+                    t = e
+                tc[k] = tc_get(k, 0.0) + cpu
+                if lin is not None:
+                    lin.record_sample(k, iteration, cid, cpu)
+                wall += t - start
+                comps.append((t, sched, rank, cpu))
+                if led is not None:
+                    led.accrue_app(cid, start, t, k)
+            core.busy_time = busy
+            core.cpu_by_owner[name] = own
+            core.last = t
+            walls[cid] = wall
+            if t > last:
+                last = t
+        return last
 
     # -- replay path ----------------------------------------------------
     def _dispatch(self, cid: int, pos: int, t: float, rank: int) -> None:
         keys = self._percore_keys[cid]
-        chs = self._percore_chares[cid]
-        ch = chs[pos]
-        d = ch.work(self._iteration)
-        if d < 0:
-            raise ValueError(
-                f"{ch!r}.work({self._iteration}) returned negative {d}"
-            )
+        slots = self._percore_slots[cid]
         core = self.cores[cid]
         if core.last != t:  # zero-width accruals are no-ops
             core.accrue(t)
-        p = _FastProc(self, keys[pos], ch, self.weight, d, t, cid, rank)
+        p = _FastProc(
+            self, keys[pos], self.weight, self._work[slots[pos]], t, cid, rank
+        )
         p.core = core
         p.keys = keys
-        p.chs = chs
+        p.slots = slots
         p.qpos = pos + 1
         core.procs.append(p)
         core.change(t)
@@ -1007,9 +1102,6 @@ class _FastJob:
             core.version += 1
             job = p.job
             cpu = p.cpu_time
-            ch = p.chare
-            ch.executions += 1
-            ch.total_cpu_time += cpu
             tc = job.db._task_cpu
             tc[p.key] = tc.get(p.key, 0.0) + cpu
             if job.lineage is not None:
@@ -1021,15 +1113,8 @@ class _FastJob:
             if pos < len(keys):
                 # dispatch the chain's next task, recycling the proc
                 p.qpos = pos + 1
-                nxt = p.chs[pos]
-                d = nxt.work(job._iteration)
-                if d < 0:
-                    raise ValueError(
-                        f"{nxt!r}.work({job._iteration}) returned negative {d}"
-                    )
                 p.key = keys[pos]
-                p.chare = nxt
-                p.remaining = d
+                p.remaining = job._work[p.slots[pos]]
                 p.cpu_time = 0.0
                 p.started_at = t
                 procs.append(p)
@@ -1085,7 +1170,7 @@ class _FastJob:
                 else:
                     # the pushed self-arrival needs a real rescan (it is
                     # excluded from the horizon by design)
-                    sim.push(t, _EV_ARRIVE, self, 0)
+                    sim.push(t, _EV_ARRIVE, self, 1)
                     horizon = self._fold_horizon(exclude)
                 continue
             # another job's chain ended — a share-count change point. If
@@ -1129,7 +1214,7 @@ class _FastJob:
                     if sim.min_push < horizon:
                         horizon = sim.min_push
                     continue
-            sim.push(t, _EV_ARRIVE, job, 0)
+            sim.push(t, _EV_ARRIVE, job, 1)
             break
         for core in active:
             if core in touched:
@@ -1164,7 +1249,6 @@ class _FastJob:
         if pa.cpu_time != 0.0:
             return False
         keys = pa.keys
-        chs = pa.chs
         qpos = pa.qpos
         n = 1 + len(keys) - qpos
         if n < _VEC_MIN:
@@ -1172,13 +1256,7 @@ class _FastJob:
         iteration = self._iteration
         works = np.empty(n)
         works[0] = pa.remaining
-        for j in range(qpos, len(keys)):
-            d = chs[j].work(iteration)
-            if d < 0:
-                # the scalar fold re-runs work() and raises exactly as
-                # the engine's dispatch would
-                return False
-            works[j - qpos + 1] = d
+        works[1:] = self._row[pa.slots[qpos:]]
         total_w = p0.weight + p1.weight
         speed = core.speed
         fa = pa.weight / total_w
@@ -1229,8 +1307,6 @@ class _FastJob:
         cpus = shares_a.tolist()
         task_keys = [pa.key]
         task_keys.extend(keys[qpos:])
-        task_chs = [pa.chare]
-        task_chs.extend(chs[qpos:])
         tc = self.db._task_cpu
         tc_get = tc.get
         comps = self._completions
@@ -1242,9 +1318,6 @@ class _FastJob:
         for j in range(n):
             c = cpus[j]
             e = ends[j]
-            ch = task_chs[j]
-            ch.executions += 1
-            ch.total_cpu_time += c
             k = task_keys[j]
             tc[k] = tc_get(k, 0.0) + c
             if lin is not None:
@@ -1260,23 +1333,41 @@ class _FastJob:
         core.version += 1
         procs.pop(idx_a)
         core.last = end
-        self.sim.push(end, _EV_ARRIVE, self, 0)
+        self.sim.push(end, _EV_ARRIVE, self, 1)
         core.change(end)
         return True
 
     # -- barrier --------------------------------------------------------
-    def _core_drained(self, t: float) -> None:
-        self._arrived += 1
+    def _core_drained(self, t: float, cores: int = 1) -> None:
+        self._arrived += cores
         if self._arrived == self._expected:
             self._end_iteration(t)
 
     def _barrier_bookkeeping(self, t: float) -> int:
         """Record one finished iteration; return the completed count."""
         self.iteration_times.append(t - self._iter_started)
+        # chronological (time, schedule-time, core) order == the event
+        # engine's completion order; fold task CPU in that order
         comps = self._completions
-        if comps:
-            # chronological (time, schedule-time, core) order == the event
-            # engine's completion order; fold task CPU in that order
+        cols = self._completion_cols
+        if cols:
+            if comps:
+                cols.append(tuple(np.array(comps).T))
+                del comps[:]
+            ends, scheds, ranks, cpus = (
+                cols[0] if len(cols) == 1
+                else [np.concatenate(c) for c in zip(*cols)]
+            )
+            del cols[:]
+            order = np.argsort(ends, kind="stable")
+            tied = ends[order]
+            if (tied[1:] == tied[:-1]).any():
+                order = np.lexsort((cpus, ranks, scheds, ends))
+            fold = np.empty(cpus.size + 1)
+            fold[0] = self.total_task_cpu_s
+            fold[1:] = cpus[order]
+            self.total_task_cpu_s = float(np.add.accumulate(fold)[-1])
+        elif comps:
             comps.sort()
             total = self.total_task_cpu_s
             for entry in comps:
@@ -1345,7 +1436,6 @@ class _FastJob:
         """
         sim = self.sim
         core_ids = self.core_ids
-        cores = self.cores
         ledger = self.ledger
         lineage = self.lineage
         if (
@@ -1360,6 +1450,7 @@ class _FastJob:
             if all(len(self._percore_keys[cid]) == 1 for cid in core_ids):
                 if self._run_batched_vec(iteration, T):
                     return
+        ranks = None  # the non-empty cores, all solo from here on
         while True:
             if ledger is not None:
                 ledger.mark_iteration(iteration, T)
@@ -1370,18 +1461,16 @@ class _FastJob:
             self._iter_core_wall = {cid: 0.0 for cid in core_ids}
             if self._percore_dirty:
                 self._rebuild_percore()
-            sim.now = T
-            t = T  # barrier = last core's arrival (empty cores arrive at T)
-            for rank, cid in enumerate(core_ids):
-                keys = self._percore_keys[cid]
-                if not keys:
-                    continue
-                end = self._run_solo_core(
-                    cores[cid], cid, keys, self._percore_chares[cid],
-                    iteration, T, rank,
+                ranks = None
+            if ranks is None:
+                ranks = tuple(
+                    rank for rank, cid in enumerate(core_ids)
+                    if self._percore_keys[cid]
                 )
-                if end > t:
-                    t = end
+            sim.now = T
+            self._next_row(iteration)
+            # barrier = last core's arrival (empty cores arrive at T)
+            t = self._run_solo_cores(ranks, iteration, T)
             sim.now = t
             completed = self._barrier_bookkeeping(t)
             if completed == self._total_iterations:
@@ -1422,28 +1511,21 @@ class _FastJob:
         telemetry, ledger, or lineage) with exactly one chare per core —
         the shape of every background job, whose post-application tail
         dominates replay time. Returns False (committing nothing) when a
-        work value is negative or a completion residual exceeds the
-        engine's epsilon; the scalar loop then replays exactly, engine
-        re-projections and error state included.
+        completion residual exceeds the engine's epsilon; the scalar loop
+        then replays exactly, engine re-projections included.
         """
         core_ids = self.core_ids
         cores = self.cores
         n_cores = len(core_ids)
         n_it = self._total_iterations - iteration
-        chs = [self._percore_chares[cid][0] for cid in core_ids]
+        self._use_window(None)
+        slots = [self._percore_slots[cid][0] for cid in core_ids]
         keys = [self._percore_keys[cid][0] for cid in core_ids]
-        # work table in the scalar loop's exact call order
-        # (iteration-major, core-minor) — work() is re-entered by the
-        # scalar replay on bail, so bail before committing anything
+        # one work row per iteration, gathered into core order
         d = np.empty((n_it, n_cores))
+        row_fn = self._row_fn
         for i in range(n_it):
-            it = iteration + i
-            row = d[i]
-            for c in range(n_cores):
-                w = chs[c].work(it)
-                if w < 0.0:
-                    return False
-                row[c] = w
+            d[i] = row_fn(iteration + i)[slots]
         delay = self._comm_delay()
         m = np.max(d, axis=1)
         # interleaved fold: T_i = acc[2i], barrier t_i = acc[2i + 1]
@@ -1505,11 +1587,6 @@ class _FastJob:
             scratch[0] = cbo.get(name, 0.0)
             scratch[1:] = col
             cbo[name] = float(np.add.accumulate(scratch)[-1])
-            ch = chs[c]
-            ch.executions += n_it
-            scratch[0] = ch.total_cpu_time
-            scratch[1:] = col
-            ch.total_cpu_time = float(np.add.accumulate(scratch)[-1])
             k = keys[c]
             scratch[0] = tc.get(k, 0.0)
             scratch[1:] = col
@@ -1545,6 +1622,7 @@ class _FastJob:
 
     def _do_lb(self, next_iteration: int) -> float:
         """One LB step at the current clock; returns the resume pause."""
+        self._use_window(None)
         view = self.db.build_view(self.mapping)
         migrations = self.balancer.balance(view)
         cost = apply_migrations(
@@ -1817,7 +1895,7 @@ def run_scenario_fast(
             "a scheduling deadlock would be a library bug"
         )
 
-    return ExperimentResult(
+    result = ExperimentResult(
         scenario=scenario,
         app=app.stats,
         bg=bg.stats if bg is not None else None,
@@ -1825,3 +1903,12 @@ def run_scenario_fast(
         trace=TraceLog(enabled=False),
         final_mapping=dict(app.mapping),
     )
+    # break the job <-> core reference cycles: the run's objects are then
+    # freed as soon as it returns, not whenever the cyclic collector runs
+    for core in cores.values():
+        core.jobs.clear()
+        core.readers.clear()
+    app.others.clear()
+    if bg is not None:
+        bg.others.clear()
+    return result

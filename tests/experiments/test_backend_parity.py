@@ -14,8 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import Jacobi2D, Mol3D, Wave2D
+from repro.core import LBPolicy
 from repro.experiments.runner import run_scenario
-from repro.experiments.sweep import build_scenario, run_point, run_sweep
+from repro.experiments.scenario import BackgroundSpec, Scenario
+from repro.experiments.sweep import (
+    _make_balancer,
+    build_scenario,
+    run_point,
+    run_sweep,
+)
 from repro.experiments.sweep_presets import smoke_spec
 from repro.obs.ledger import TimeLedger
 from repro.obs.lineage import LineageRecorder
@@ -664,3 +672,120 @@ def test_contended_random_batch_backend_bit_identical(params):
     res_e = run_scenario(build_scenario(params), backend="events")
     res_b = run_scenario(build_scenario(params), backend="batch")
     _assert_results_identical(res_e, res_b)
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: the paper apps built directly at 2-32 cores and ODF 1-32,
+# so runs land on both sides of the 2-D solo fold's threshold, with a
+# co-runner that starts and/or ends inside an LB window (its cores flip
+# between the contended and the solo fold mid-window)
+# ----------------------------------------------------------------------
+def _odf_scenario(p):
+    """A fresh Scenario for one ``_odf_params`` draw."""
+    cores, odf = p["cores"], p["odf"]
+    if p["app"] == "mol3d":
+        app = Mol3D(total_particles=4000, odf=odf, seed=42 + p["seed"] % 1000)
+    else:
+        model = Jacobi2D if p["app"] == "jacobi2d" else Wave2D
+        app = model(grid_size=max(256, cores * odf), odf=odf, jitter_seed=p["seed"])
+    bg = None
+    if p["bg_start"] is not None:
+        # start/end measured in app iterations, so they fall mid-window
+        iteration_s = sum(c.work(0) for c in app.build_array(cores)) / cores
+        bg = BackgroundSpec(
+            model=Wave2D.background(grid_size=64),
+            core_ids=(0, 1),
+            iterations=p["bg_iterations"],
+            weight=p["bg_weight"],
+            start=p["bg_start"] * iteration_s,
+        )
+    return Scenario(
+        app=app,
+        num_cores=cores,
+        iterations=p["iterations"],
+        balancer=_make_balancer(p["balancer"], p["epsilon"]),
+        policy=LBPolicy(period_iterations=p["lb_period"]),
+        bg=bg,
+    )
+
+
+_odf_params = st.fixed_dictionaries(
+    {
+        "app": st.sampled_from(["jacobi2d", "wave2d", "mol3d"]),
+        "cores": st.sampled_from([2, 4, 8, 16, 32]),
+        "odf": st.sampled_from([1, 2, 4, 8, 16, 32]),
+        "iterations": st.integers(min_value=1, max_value=10),
+        "balancer": st.sampled_from(
+            ["none", "refine-vm", "refine", "greedy", "greedy-aware"]
+        ),
+        "lb_period": st.sampled_from([2, 3, 5]),
+        "epsilon": st.sampled_from([0.02, 0.05, 0.1]),
+        "bg_start": st.sampled_from([None, 0.0, 1.5, 3.5]),
+        "bg_iterations": st.sampled_from([2, 6, 40]),
+        "bg_weight": st.sampled_from([0.5, 1.0, 2.0]),
+        "seed": st.integers(min_value=0, max_value=2**31 - 1),
+    }
+)
+
+
+def _run_both_built(p, *, instrumented=False):
+    """Run ``_odf_scenario(p)`` on both backends (optionally with a
+    ledger, a lineage recorder and telemetry attached to each)."""
+    results, ledgers, payloads = [], [], []
+    for backend in ("events", "fast"):
+        sc = _odf_scenario(p)
+        kwargs = {}
+        if instrumented:
+            kwargs = {
+                "telemetry": Telemetry(),
+                "ledger": TimeLedger(job="app", core_ids=sc.app_core_ids),
+                "lineage": LineageRecorder(job="app", core_ids=sc.app_core_ids),
+            }
+        results.append(run_scenario(sc, backend=backend, **kwargs))
+        if instrumented:
+            ledgers.append(kwargs["ledger"])
+            payloads.append(
+                kwargs["lineage"].payload(audit=kwargs["telemetry"].audit.records)
+            )
+    return results, ledgers, payloads
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_odf_params)
+def test_random_odf_scenarios_bit_identical(p):
+    (res_e, res_f), _, _ = _run_both_built(p)
+    _assert_results_identical(res_e, res_f)
+
+
+@pytest.mark.parametrize("odf", [2, 8, 32])
+@pytest.mark.parametrize(
+    "bg_start,bg_iterations",
+    [(None, 2), (0.0, 6), (1.5, 6), (3.5, 40)],
+    ids=[
+        "no-bg",
+        "bg-ends-mid-window",
+        "bg-starts-and-ends-mid-window",
+        "bg-starts-mid-window",
+    ],
+)
+def test_instrumented_32_core_runs_identical(odf, bg_start, bg_iterations):
+    p = {
+        "app": "jacobi2d",
+        "cores": 32,
+        "odf": odf,
+        "iterations": 9,
+        "balancer": "refine-vm",
+        "lb_period": 3,
+        "epsilon": 0.05,
+        "bg_start": bg_start,
+        "bg_iterations": bg_iterations,
+        "bg_weight": 1.0,
+        "seed": 5,
+    }
+    (res_e, res_f), (led_e, led_f), (pay_e, pay_f) = _run_both_built(
+        p, instrumented=True
+    )
+    _assert_results_identical(res_e, res_f)
+    _assert_ledgers_identical(led_e, led_f)
+    assert led_f.residual_exact() == 0
+    assert pay_e == pay_f

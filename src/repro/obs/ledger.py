@@ -13,15 +13,23 @@ Exactness
 ---------
 Bit-exact conservation of separately accumulated IEEE-754 sums is
 impossible (per-bucket fold order differs from a single accumulator), so
-the ledger does not accumulate floats: every simulated timestamp is a
-float and therefore an exact dyadic rational, and the ledger accrues
-``fractions.Fraction`` arithmetic over those exact values. Each accrued
-interval contributes ``Fraction(t1) - Fraction(t0)`` split exactly among
-the buckets, intervals are required to tile each core's timeline with no
-gap or overlap (:class:`LedgerError` otherwise), and exact arithmetic is
-associative — so conservation holds by telescoping, and the event engine
-and the fast path produce **identical** ledgers even though they
-subdivide the timeline differently (per scheduling change vs. per task).
+the ledger does not accumulate floats. Every simulated timestamp is a
+float and therefore an exact dyadic rational, so ``t * 2**1074`` is an
+integer (:mod:`repro.obs.exact`); every bucket is a Python int in units
+of ``2**-1074 / Q`` seconds. ``Q`` starts at 1 and only grows when a
+contended interval's weight split ``dt * w / w_total`` needs a
+denominator it lacks — then every accumulator is rescaled once, so all
+of them keep one shared denominator. Each accrued interval contributes
+``fixed(t1) - fixed(t0)`` split exactly among the buckets, intervals are
+required to tile each core's timeline with no gap or overlap
+(:class:`LedgerError` otherwise), and integer addition is associative —
+so conservation holds by telescoping, and the event engine and the fast
+path produce **identical** ledgers even though they subdivide the
+timeline differently (per scheduling change vs. per task). The exact
+views (:meth:`TimeLedger.totals_exact` and friends) are
+``fractions.Fraction`` values built from those ints; summary floats come
+from int/int true division, which is correctly rounded and therefore
+equals ``float()`` of the same ``Fraction``.
 
 Bucket semantics
 ----------------
@@ -52,8 +60,11 @@ ledger-free builds.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.exact import FIXED_BITS, SHIFT, to_fixed
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -72,8 +83,6 @@ BUCKETS = ("compute", "stolen", "overhead", "idle")
 _COMPUTE, _STOLEN, _OVERHEAD, _IDLE = range(4)
 
 ChareKey = Tuple[str, int]
-
-_ZERO = Fraction(0)
 
 
 class LedgerError(RuntimeError):
@@ -101,6 +110,8 @@ class TimeLedger:
       times and LB pause windows (classification boundaries);
     * :meth:`close` — seal the ledger at job completion; every core
       must be accounted exactly to the closing time.
+
+    Timestamps are floats (or ints); weights are any positive rationals.
     """
 
     def __init__(self, job: str = "app", core_ids: Sequence[int] = ()) -> None:
@@ -108,19 +119,24 @@ class TimeLedger:
         self.core_ids: Tuple[int, ...] = tuple(sorted(int(c) for c in core_ids))
         if len(set(self.core_ids)) != len(self.core_ids):
             raise ValueError("core_ids contains duplicates")
-        self._per_core: Dict[int, List[Fraction]] = {
-            cid: [_ZERO, _ZERO, _ZERO, _ZERO] for cid in self.core_ids
+        # every accumulator below is an int in units of 2**-1074 / _q s
+        self._q = 1
+        self._per_core: Dict[int, List[int]] = {
+            cid: [0, 0, 0, 0] for cid in self.core_ids
         }
-        self._busy_overhead: Dict[int, Fraction] = {
-            cid: _ZERO for cid in self.core_ids
-        }
-        self._busy_idle: Dict[int, Fraction] = {cid: _ZERO for cid in self.core_ids}
-        self._chares: Dict[ChareKey, List[Fraction]] = {}
-        self._iters: List[List[Fraction]] = []
+        self._busy_overhead: Dict[int, int] = dict.fromkeys(self.core_ids, 0)
+        self._busy_idle: Dict[int, int] = dict.fromkeys(self.core_ids, 0)
+        self._chares: Dict[ChareKey, List[int]] = {}
+        self._iters: List[List[int]] = []
         self._marks: List[float] = []
-        self._pauses: List[Tuple[float, float]] = []
+        self._mark_fixed: List[int] = []
+        self._pause_starts: List[float] = []
+        self._pause_ends: List[float] = []
         self._pause_edges: List[float] = []
-        self._cursor: Dict[int, float] = {cid: 0.0 for cid in self.core_ids}
+        # core -> (accounted-to time, its fixed-point value)
+        self._cursor: Dict[int, Tuple[float, int]] = {
+            cid: (0.0, 0) for cid in self.core_ids
+        }
         self.closed_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -138,6 +154,7 @@ class TimeLedger:
         if self._marks and t < self._marks[-1]:
             raise LedgerError("iteration marks must be non-decreasing")
         self._marks.append(t)
+        self._mark_fixed.append(to_fixed(t))
 
     def mark_pause(self, t0: float, t1: float) -> None:
         """Record an LB pause window ``[t0, t1)`` (decision + transfer)."""
@@ -147,13 +164,28 @@ class TimeLedger:
             raise LedgerError(f"pause window ends before it starts: {t0}..{t1}")
         if self._pause_edges and t0 < self._pause_edges[-1]:
             raise LedgerError("pause windows must be ordered and disjoint")
-        self._pauses.append((t0, t1))
+        self._pause_starts.append(t0)
+        self._pause_ends.append(t1)
         self._pause_edges.append(t0)
         self._pause_edges.append(t1)
 
     # ------------------------------------------------------------------
     # accrual
     # ------------------------------------------------------------------
+    def _advance(self, core_id: int, t0: float, t1: float) -> Tuple[int, int]:
+        """Move ``core_id``'s cursor from ``t0`` to ``t1``; returns both
+        ends in fixed point."""
+        cur, f0 = self._cursor[core_id]
+        if t0 != cur:
+            raise LedgerError(
+                f"core {core_id}: interval starts at {t0!r} but the core "
+                f"is accounted to {cur!r} (gap or overlap)"
+            )
+        n, d = t1.as_integer_ratio()
+        f1 = n << (SHIFT - d.bit_length())
+        self._cursor[core_id] = (t1, f1)
+        return f0, f1
+
     def accrue(
         self, core_id: int, t0: float, t1: float, procs: Iterable[Any]
     ) -> None:
@@ -167,42 +199,31 @@ class TimeLedger:
             return
         if t1 <= t0:
             return
-        cur = self._cursor[core_id]
-        if t0 != cur:
-            raise LedgerError(
-                f"core {core_id}: interval starts at {t0!r} but the core "
-                f"is accounted to {cur!r} (gap or overlap)"
-            )
-        self._cursor[core_id] = t1
+        f0, f1 = self._advance(core_id, t0, t1)
 
-        total_w = _ZERO
-        app_procs: List[Tuple[ChareKey, Fraction]] = []
-        has_procs = False
-        for p in procs:
-            has_procs = True
-            w = Fraction(p.weight)
-            total_w += w
-            if p.owner == self.job:
-                app_procs.append((p.key, w))
-        app_w = _ZERO
-        for _, w in app_procs:
-            app_w += w
+        runnable = [
+            (p.owner == self.job, p.key, p.weight.as_integer_ratio())
+            for p in procs
+        ]
+        comp_f, shares = self._shares(runnable)
+        has_procs = bool(runnable)
 
         per_core = self._per_core[core_id]
         chares = self._chares
-        prev = t0
+        prev, fprev = t0, f0
         for c in self._cuts(t0, t1):
             if c <= prev:
                 continue
+            fc = to_fixed(c)
             self._segment(
-                core_id, per_core, chares, prev, c,
-                app_procs, app_w, total_w, has_procs,
+                core_id, per_core, chares, prev, fc - fprev,
+                shares, comp_f, has_procs,
             )
-            prev = c
+            prev, fprev = c, fc
         if prev < t1:
             self._segment(
-                core_id, per_core, chares, prev, t1,
-                app_procs, app_w, total_w, has_procs,
+                core_id, per_core, chares, prev, f1 - fprev,
+                shares, comp_f, has_procs,
             )
 
     def accrue_app(
@@ -218,36 +239,77 @@ class TimeLedger:
             return
         if t1 <= t0:
             return
-        cur = self._cursor[core_id]
-        if t0 != cur:
-            raise LedgerError(
-                f"core {core_id}: interval starts at {t0!r} but the core "
-                f"is accounted to {cur!r} (gap or overlap)"
-            )
-        self._cursor[core_id] = t1
+        f0, f1 = self._advance(core_id, t0, t1)
+        q = self._q
         per_core = self._per_core[core_id]
         entry = self._chares.get(key)
         if entry is None:
-            entry = self._chares[key] = [_ZERO, _ZERO]
+            entry = self._chares[key] = [0, 0]
         marks = self._marks
-        prev = t0
+        prev, fprev = t0, f0
         i = bisect.bisect_right(marks, t0)
         while i < len(marks) and marks[i] < t1:
             c = marks[i]
+            fc = self._mark_fixed[i]
             i += 1
             if c <= prev:
                 continue
-            dt = Fraction(c) - Fraction(prev)
+            dt = (fc - fprev) * q
             per_core[_COMPUTE] += dt
             entry[0] += dt
             self._iter_bucket(prev)[_COMPUTE] += dt
-            prev = c
-        dt = Fraction(t1) - Fraction(prev)
+            prev, fprev = c, fc
+        dt = (f1 - fprev) * q
         per_core[_COMPUTE] += dt
         entry[0] += dt
         self._iter_bucket(prev)[_COMPUTE] += dt
 
     # -- internals ------------------------------------------------------
+    def _shares(
+        self, runnable: List[Tuple[bool, ChareKey, Tuple[int, int]]]
+    ) -> Tuple[int, List[Tuple[ChareKey, int, int]]]:
+        """Integer weight shares of one runnable set of ``(is_app, key,
+        weight ratio)``: the app's share of the core and, per app
+        process, ``(key, w / w_total, w / w_app)``, each times the shared
+        denominator. The denominator grows first when a share would not
+        be a whole number of the accumulators' unit."""
+        app = []
+        total_w = app_w = 0
+        if runnable:
+            # integer weights over one common denominator
+            den = math.lcm(*(d for _, _, (_, d) in runnable))
+            for is_app, key, (n, d) in runnable:
+                w = n * (den // d)
+                total_w += w
+                if is_app:
+                    app_w += w
+                    app.append((key, w))
+        if not app:
+            return 0, []
+        need = 1
+        for _, w in app:
+            need = math.lcm(
+                need, total_w // math.gcd(w, total_w), app_w // math.gcd(w, app_w)
+            )
+        if self._q % need:
+            self._rescale(math.lcm(self._q, need) // self._q)
+        q = self._q
+        return q * app_w // total_w, [
+            (key, q * w // total_w, q * w // app_w) for key, w in app
+        ]
+
+    def _rescale(self, factor: int) -> None:
+        """Multiply the shared denominator, and every accumulator, by
+        ``factor`` (values unchanged)."""
+        for buckets in (
+            *self._per_core.values(), *self._chares.values(), *self._iters
+        ):
+            buckets[:] = [v * factor for v in buckets]
+        for busy in (self._busy_overhead, self._busy_idle):
+            for cid in busy:
+                busy[cid] *= factor
+        self._q *= factor
+
     def _cuts(self, t0: float, t1: float) -> List[float]:
         """Classification boundaries strictly inside ``(t0, t1)``."""
         cuts: List[float] = []
@@ -264,49 +326,49 @@ class TimeLedger:
         cuts.sort()
         return cuts
 
-    def _iter_bucket(self, t: float) -> List[Fraction]:
+    def _iter_bucket(self, t: float) -> List[int]:
         idx = bisect.bisect_right(self._marks, t) - 1
         if idx < 0:
             idx = 0
         iters = self._iters
         while len(iters) <= idx:
-            iters.append([_ZERO, _ZERO, _ZERO, _ZERO])
+            iters.append([0, 0, 0, 0])
         return iters[idx]
 
     def _in_pause(self, t: float) -> bool:
-        starts = self._pause_edges[::2]
-        j = bisect.bisect_right(starts, t) - 1
-        return j >= 0 and t < self._pauses[j][1]
+        j = bisect.bisect_right(self._pause_starts, t) - 1
+        return j >= 0 and t < self._pause_ends[j]
 
     def _segment(
         self,
         core_id: int,
-        per_core: List[Fraction],
-        chares: Dict[ChareKey, List[Fraction]],
+        per_core: List[int],
+        chares: Dict[ChareKey, List[int]],
         s0: float,
-        s1: float,
-        app_procs: List[Tuple[ChareKey, Fraction]],
-        app_w: Fraction,
-        total_w: Fraction,
+        dt: int,
+        shares: List[Tuple[ChareKey, int, int]],
+        comp_f: int,
         has_procs: bool,
     ) -> None:
-        dt = Fraction(s1) - Fraction(s0)
+        """Attribute one segment starting at ``s0``, ``dt`` long in
+        fixed point (not yet scaled by the shared denominator)."""
         it = self._iter_bucket(s0)
-        if app_procs:
-            comp = dt * app_w / total_w
-            stol = dt - comp
+        if shares:
+            comp = dt * comp_f
+            stol = dt * self._q - comp
             per_core[_COMPUTE] += comp
             per_core[_STOLEN] += stol
             it[_COMPUTE] += comp
             it[_STOLEN] += stol
-            for key, w in app_procs:
+            for key, of_total, of_app in shares:
                 entry = chares.get(key)
                 if entry is None:
-                    entry = chares[key] = [_ZERO, _ZERO]
-                c_p = dt * w / total_w
+                    entry = chares[key] = [0, 0]
+                c_p = dt * of_total
                 entry[0] += c_p
-                entry[1] += dt * w / app_w - c_p
+                entry[1] += dt * of_app - c_p
         else:
+            dt *= self._q
             bucket = _OVERHEAD if self._in_pause(s0) else _IDLE
             per_core[bucket] += dt
             it[bucket] += dt
@@ -328,7 +390,7 @@ class TimeLedger:
         if self.closed_at is not None:
             raise LedgerError("ledger already closed")
         for cid in self.core_ids:
-            cur = self._cursor[cid]
+            cur = self._cursor[cid][0]
             if cur != t_end and t_end > 0.0:
                 raise LedgerError(
                     f"core {cid} accounted to {cur!r}, not the closing "
@@ -340,13 +402,28 @@ class TimeLedger:
     def closed(self) -> bool:
         return self.closed_at is not None
 
+    @property
+    def _unit(self) -> int:
+        """Denominator of every accumulator: one second, in its units."""
+        return self._q << FIXED_BITS
+
+    def _totals(self) -> List[int]:
+        out = [0, 0, 0, 0]
+        for buckets in self._per_core.values():
+            for i in range(4):
+                out[i] += buckets[i]
+        return out
+
+    def _residual(self) -> int:
+        if self.closed_at is None:
+            raise LedgerError("ledger still open — close() it first")
+        wall = to_fixed(self.closed_at) * self._q * len(self.core_ids)
+        return sum(self._totals()) - wall
+
     def totals_exact(self) -> Dict[str, Fraction]:
         """Exact bucket totals summed over every core."""
-        out = {b: _ZERO for b in BUCKETS}
-        for buckets in self._per_core.values():
-            for i, b in enumerate(BUCKETS):
-                out[b] += buckets[i]
-        return out
+        unit = self._unit
+        return {b: Fraction(v, unit) for b, v in zip(BUCKETS, self._totals())}
 
     def busy_exact(self) -> Dict[str, Fraction]:
         """Exact *busy* core-seconds by bucket.
@@ -356,26 +433,22 @@ class TimeLedger:
         kept the core busy. This is the partition the energy
         decomposition splits dynamic joules by.
         """
-        totals = self.totals_exact()
+        unit = self._unit
+        totals = self._totals()
         return {
-            "compute": totals["compute"],
-            "stolen": totals["stolen"],
-            "overhead": sum(self._busy_overhead.values(), _ZERO),
-            "idle": sum(self._busy_idle.values(), _ZERO),
+            "compute": Fraction(totals[_COMPUTE], unit),
+            "stolen": Fraction(totals[_STOLEN], unit),
+            "overhead": Fraction(sum(self._busy_overhead.values()), unit),
+            "idle": Fraction(sum(self._busy_idle.values()), unit),
         }
 
     def residual_exact(self) -> Fraction:
         """``sum(buckets) - wall x cores`` — zero iff conserved."""
-        if self.closed_at is None:
-            raise LedgerError("ledger still open — close() it first")
-        total = _ZERO
-        for v in self.totals_exact().values():
-            total += v
-        return total - Fraction(self.closed_at) * len(self.core_ids)
+        return Fraction(self._residual(), self._unit)
 
     @property
     def conserved(self) -> bool:
-        return self.residual_exact() == 0
+        return self._residual() == 0
 
     # ------------------------------------------------------------------
     # summary
@@ -389,26 +462,30 @@ class TimeLedger:
         if self.closed_at is None:
             raise LedgerError("ledger still open — close() it first")
         wall = self.closed_at
-        totals = self.totals_exact()
-        busy = self.busy_exact()
-        denom = Fraction(wall) * len(self.core_ids)
-        residual = self.residual_exact()
+        unit = self._unit
+        totals = self._totals()
+        busy = [
+            totals[_COMPUTE],
+            totals[_STOLEN],
+            sum(self._busy_overhead.values()),
+            sum(self._busy_idle.values()),
+        ]
+        # wall x cores in the accumulators' units
+        denom = to_fixed(wall) * self._q * len(self.core_ids)
+        residual = sum(totals) - denom
         per_iteration = []
         for i, start in enumerate(self._marks):
-            buckets = (
-                self._iters[i] if i < len(self._iters)
-                else [_ZERO, _ZERO, _ZERO, _ZERO]
-            )
+            buckets = self._iters[i] if i < len(self._iters) else [0, 0, 0, 0]
             row = {"iteration": i, "start_s": start}
             for j, b in enumerate(BUCKETS):
-                row[b] = float(buckets[j])
+                row[b] = buckets[j] / unit
             per_iteration.append(row)
         chares = {}
         for key in sorted(self._chares):
             comp, stol = self._chares[key]
             chares[f"{key[0]}[{key[1]}]"] = {
-                "compute": float(comp),
-                "stolen": float(stol),
+                "compute": comp / unit,
+                "stolen": stol / unit,
             }
         return {
             "schema": LEDGER_SCHEMA,
@@ -416,15 +493,16 @@ class TimeLedger:
             "wall_s": wall,
             "cores": list(self.core_ids),
             "conserved": residual == 0,
-            "residual_s": float(residual),
-            "totals": {b: float(totals[b]) for b in BUCKETS},
+            "residual_s": residual / unit,
+            "totals": {b: totals[j] / unit for j, b in enumerate(BUCKETS)},
             "fractions": {
-                b: (float(totals[b] / denom) if denom else 0.0) for b in BUCKETS
+                b: (totals[j] / denom if denom else 0.0)
+                for j, b in enumerate(BUCKETS)
             },
-            "busy": {b: float(busy[b]) for b in BUCKETS},
+            "busy": {b: busy[j] / unit for j, b in enumerate(BUCKETS)},
             "per_core": {
                 str(cid): {
-                    b: float(self._per_core[cid][j])
+                    b: self._per_core[cid][j] / unit
                     for j, b in enumerate(BUCKETS)
                 }
                 for cid in self.core_ids

@@ -22,13 +22,16 @@ under a different placement with the recorded samples is exact, not an
 estimate.
 
 Like the ledger, the recorder never *accumulates* floats: every sample
-is an exact dyadic rational, and all aggregation happens in
-:class:`fractions.Fraction`, so the headline invariants hold exactly
-rather than to within rounding: λ ≥ 1, Gini ∈ [0, 1), CoV = 0 iff the
-loads are perfectly balanced, oracle ≤ observed for every step, and the
-metrics are permutation-invariant over cores. Floats appear only in the
-JSON payload, derived from the exact values — which is also why the two
-backends produce payloads that compare ``==``.
+is an exact dyadic rational, so ``cpu * 2**1074`` is an integer
+(:mod:`repro.obs.exact`) and all aggregation is integer addition at that
+one shared exponent. The statistics are integer formulas over those sums
+(the scale cancels out of every ratio), so the headline invariants hold
+exactly rather than to within rounding: λ ≥ 1, Gini ∈ [0, 1), CoV = 0
+iff the loads are perfectly balanced, oracle ≤ observed for every step,
+and the metrics are permutation-invariant over cores. Floats appear only
+in the JSON payload, each one an int/int true division (correctly
+rounded, so equal to ``float()`` of the same ``fractions.Fraction``) —
+which is also why the two backends produce payloads that compare ``==``.
 
 The null-hook doctrine applies: backends carry a ``lineage`` attribute
 that defaults to ``None`` and pay one identity check per hook site, so
@@ -38,9 +41,12 @@ builds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.obs.exact import ONE, SHIFT, to_fixed
 
 __all__ = [
     "LINEAGE_SCHEMA",
@@ -55,8 +61,6 @@ __all__ = [
 LINEAGE_SCHEMA = 1
 
 ChareKey = Tuple[str, int]
-
-_ZERO = Fraction(0)
 
 
 class LineageError(RuntimeError):
@@ -76,7 +80,8 @@ def imbalance_metrics(loads: Sequence[Any]) -> Dict[str, float]:
     """Imbalance statistics of one per-core load vector, computed exactly.
 
     ``loads`` is one non-negative number per core (floats, ints or
-    Fractions). All aggregation is rational, floats only at the end, so:
+    Fractions). The loads are put over one common denominator and every
+    statistic is an integer formula, floats only at the end, so:
 
     * ``lambda`` = max/mean ≥ 1.0 always (exactly 1.0 iff balanced);
     * ``cov`` = stddev/mean is 0.0 **iff** every load is equal;
@@ -87,31 +92,37 @@ def imbalance_metrics(loads: Sequence[Any]) -> Dict[str, float]:
     """
     if not loads:
         raise ValueError("imbalance_metrics needs at least one core load")
-    xs = [Fraction(x) for x in loads]
+    ratios = [
+        (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+        for x in loads
+    ]
+    unit = math.lcm(*(d for _, d in ratios))
+    return _fixed_metrics([n * (unit // d) for n, d in ratios], unit)
+
+
+def _fixed_metrics(xs: Sequence[int], unit: int) -> Dict[str, float]:
+    """:func:`imbalance_metrics` of the loads ``x / unit`` (``xs`` ints)."""
     if any(x < 0 for x in xs):
         raise ValueError("core loads must be non-negative")
     n = len(xs)
-    total = sum(xs, _ZERO)
+    total = sum(xs)
     if total == 0:
         return {
             "lambda": 1.0, "cov": 0.0, "gini": 0.0,
             "max_s": 0.0, "mean_s": 0.0, "total_s": 0.0,
         }
-    mean = total / n
     mx = max(xs)
-    var = sum(((x - mean) ** 2 for x in xs), _ZERO) / n
+    # with mean = total/n: var / mean^2 = sum_i (n x_i - total)^2 / (n total^2)
+    spread = sum((n * x - total) ** 2 for x in xs)
     # Gini via the sorted-rank identity: sum_i (2i - n + 1) x_(i) / (n T)
-    ranked = sorted(xs)
-    gini = sum(
-        ((2 * i - n + 1) * x for i, x in enumerate(ranked)), _ZERO
-    ) / (n * total)
+    gini = sum((2 * i - n + 1) * x for i, x in enumerate(sorted(xs)))
     return {
-        "lambda": float(mx / mean),
-        "cov": math.sqrt(float(var / (mean * mean))),
-        "gini": float(gini),
-        "max_s": float(mx),
-        "mean_s": float(mean),
-        "total_s": float(total),
+        "lambda": mx * n / total,
+        "cov": math.sqrt(spread / (n * total * total)),
+        "gini": gini / (n * total),
+        "max_s": mx / unit,
+        "mean_s": total / (n * unit),
+        "total_s": total / unit,
     }
 
 
@@ -317,17 +328,17 @@ class LineageRecorder:
                 )
         return out
 
-    def _validate_samples(self) -> None:
+    def _validate_samples(self) -> List[Dict[ChareKey, int]]:
         """Every (chare, iteration) sample must sit on the chare's
         residency core, and every placed chare must have exactly one
-        sample per iteration."""
+        sample per iteration. Returns the mapping snapshots."""
         snaps = self._mappings()
         bounds = [s["iteration"] for s in self._steps]
         n = self.n_iterations
         expected = set(self._placement)
         for i in range(n):
             per = self._samples.get(i, {})
-            if set(per) != expected:
+            if per.keys() != expected:
                 missing = sorted(expected - set(per))[:3]
                 extra = sorted(set(per) - expected)[:3]
                 raise LineageError(
@@ -335,32 +346,38 @@ class LineageRecorder:
                     f"chares (missing {missing}, unplaced {extra})"
                 )
             # snapshot index = number of steps at or before iteration i
-            snap = snaps[_steps_before(bounds, i)]
+            snap = snaps[bisect.bisect_right(bounds, i)]
             for key, (core, _cpu) in per.items():
                 if snap[key] != core:
                     raise LineageError(
                         f"iteration {i}: chare {key!r} sampled on core "
                         f"{core} but resides on core {snap[key]}"
                     )
+        return snaps
 
     # ------------------------------------------------------------------
-    # exact aggregation
+    # exact aggregation (fixed-point ints, see repro.obs.exact)
     # ------------------------------------------------------------------
-    def _interval_loads(
-        self, lo: int, hi: int, mapping: Optional[Mapping[ChareKey, int]] = None
-    ) -> Dict[int, Fraction]:
-        """Exact per-core load over iterations ``[lo, hi)``.
+    def _iteration_loads(self) -> List[List[int]]:
+        """Per-iteration app load of each core (``core_ids`` order) in
+        fixed point; each sample is converted once."""
+        pos = {cid: j for j, cid in enumerate(self.core_ids)}
+        rows = []
+        for i in range(self.n_iterations):
+            row = [0] * len(pos)
+            for core, cpu in self._samples.get(i, {}).values():
+                n, d = cpu.as_integer_ratio()
+                row[pos[core]] += n << (SHIFT - d.bit_length())
+            rows.append(row)
+        return rows
 
-        With ``mapping`` the samples are re-assigned to the given cores
-        (a counterfactual replay); without it the observed cores are
-        used.
-        """
-        loads: Dict[int, Fraction] = {cid: _ZERO for cid in self.core_ids}
+    def _chare_load(self, key: ChareKey, lo: int, hi: int) -> int:
+        """Fixed-point CPU of chare ``key`` over iterations ``[lo, hi)``."""
+        total = 0
         for i in range(lo, hi):
-            for key, (core, cpu) in self._samples.get(i, {}).items():
-                cid = core if mapping is None else mapping[key]
-                loads[cid] += Fraction(cpu)
-        return loads
+            n, d = self._samples[i][key][1].as_integer_ratio()
+            total += n << (SHIFT - d.bit_length())
+        return total
 
     def _step_bounds(self) -> List[Tuple[int, int]]:
         """Iteration interval ``[lo, hi)`` governed by each LB step."""
@@ -372,33 +389,21 @@ class LineageRecorder:
             bounds.append((lo, hi))
         return bounds
 
-    def _bg_snapshots(self) -> List[Optional[Dict[int, Fraction]]]:
-        """Cumulative interference at each boundary: run start, every
-        LB step, run end. ``None`` where no snapshot was recorded."""
-        zero = {cid: _ZERO for cid in self.core_ids}
-        snaps: List[Optional[Dict[int, Fraction]]] = [zero]
-        for step in self._steps:
-            bg = step["bg_cpu"]
+    def _bg_deltas(self) -> List[List[int]]:
+        """Interference each core suffered between consecutive
+        boundaries (run start, every LB step, run end), in fixed point;
+        zero where either boundary has no snapshot."""
+        snaps: List[Optional[List[int]]] = [[0] * len(self.core_ids)]
+        for bg in [step["bg_cpu"] for step in self._steps] + [self._close_bg]:
             snaps.append(
                 None if bg is None
-                else {cid: Fraction(bg.get(cid, 0.0)) for cid in self.core_ids}
+                else [to_fixed(bg.get(cid, 0.0)) for cid in self.core_ids]
             )
-        bg = self._close_bg
-        snaps.append(
-            None if bg is None
-            else {cid: Fraction(bg.get(cid, 0.0)) for cid in self.core_ids}
-        )
-        return snaps
-
-    @staticmethod
-    def _bg_delta(
-        a: Optional[Dict[int, Fraction]],
-        b: Optional[Dict[int, Fraction]],
-        core_ids: Tuple[int, ...],
-    ) -> Dict[int, Fraction]:
-        if a is None or b is None:
-            return {cid: _ZERO for cid in core_ids}
-        return {cid: b[cid] - a[cid] for cid in core_ids}
+        return [
+            [0] * len(self.core_ids) if a is None or b is None
+            else [y - x for x, y in zip(a, b)]
+            for a, b in zip(snaps, snaps[1:])
+        ]
 
     def counterfactuals(self) -> List[Dict[str, Any]]:
         """Per-step counterfactual bounds on *effective* load, exactly.
@@ -417,31 +422,46 @@ class LineageRecorder:
         the fractional-balance lower bound (total/P, i.e. the mean).
         ``oracle ≤ observed`` holds by construction (a mean never
         exceeds a max); ``observed ≤ nolb`` is the genuine claim that
-        the step helped, reported via ``sane``.
+        the step helped, reported via ``sane``. A broken graph raises
+        :class:`LineageError`, as :meth:`payload` does.
         """
-        snaps = self._mappings()
-        bg_snaps = self._bg_snapshots()
+        return self._counterfactuals(
+            self._validate_samples(), self._iteration_loads()
+        )
+
+    def _counterfactuals(
+        self, snaps: List[Dict[ChareKey, int]], rows: List[List[int]]
+    ) -> List[Dict[str, Any]]:
+        """:meth:`counterfactuals` from validated samples: inside step k's
+        interval every sample sits on its ``snaps[k + 1]`` core, so the
+        no-LB replay is the observed loads (``rows``, fixed point) with
+        only the chares the step moved put back."""
+        pos = {cid: j for j, cid in enumerate(self.core_ids)}
+        deltas = self._bg_deltas()
         P = len(self.core_ids)
         out = []
         for k, (lo, hi) in enumerate(self._step_bounds()):
-            interference = self._bg_delta(
-                bg_snaps[k + 1], bg_snaps[k + 2], self.core_ids
-            )
-            app_obs = self._interval_loads(lo, hi)
-            app_nolb = self._interval_loads(lo, hi, mapping=snaps[k])
-            observed = {c: app_obs[c] + interference[c] for c in self.core_ids}
-            nolb = {c: app_nolb[c] + interference[c] for c in self.core_ids}
-            obs_max = max(observed.values(), default=_ZERO)
-            nolb_max = max(nolb.values(), default=_ZERO)
-            total = sum(observed.values(), _ZERO)
-            oracle = total / P
+            interference = deltas[k + 1]
+            observed = list(interference)
+            for row in rows[lo:hi]:
+                observed = [a + b for a, b in zip(observed, row)]
+            nolb = list(observed)
+            before, after = snaps[k], snaps[k + 1]
+            for key in {key for key, _src, _dst in self._steps[k]["migrations"]}:
+                if before[key] != after[key]:
+                    load = self._chare_load(key, lo, hi)
+                    nolb[pos[after[key]]] -= load
+                    nolb[pos[before[key]]] += load
+            obs_max = Fraction(max(observed, default=0), ONE)
+            nolb_max = Fraction(max(nolb, default=0), ONE)
+            oracle = Fraction(sum(observed), P * ONE)
             recovered = nolb_max - obs_max
             recoverable = nolb_max - oracle
             out.append(
                 {
                     "step": k,
                     "interval": (lo, hi),
-                    "interference": sum(interference.values(), _ZERO),
+                    "interference": Fraction(sum(interference), ONE),
                     "observed_max": obs_max,
                     "nolb_max": nolb_max,
                     "oracle_max": oracle,
@@ -470,38 +490,41 @@ class LineageRecorder:
         """
         if self.closed_at is None:
             raise LineageError("lineage recorder still open — close() it first")
-        self._validate_samples()
+        snaps = self._validate_samples()
         if audit is not None and len(audit) != len(self._steps):
             raise LineageError(
                 f"audit trail has {len(audit)} steps but lineage recorded "
                 f"{len(self._steps)}"
             )
         n = self.n_iterations
+        rows = self._iteration_loads()
         per_iteration = []
-        for i in range(n):
-            loads = self._interval_loads(i, i + 1)
-            metrics = imbalance_metrics([loads[cid] for cid in self.core_ids])
-            total = sum(loads.values(), _ZERO)
-            row = {
-                "iteration": i,
-                "start_s": self._marks[i],
-                "lambda": metrics["lambda"],
-                "cov": metrics["cov"],
-                "gini": metrics["gini"],
-                "max_s": metrics["max_s"],
-                "total_s": metrics["total_s"],
-                "loads": {str(cid): float(loads[cid]) for cid in self.core_ids},
-                "shares": {
-                    str(cid): (float(loads[cid] / total) if total else 0.0)
-                    for cid in self.core_ids
-                },
-            }
-            per_iteration.append(row)
+        for i, loads in enumerate(rows):
+            metrics = _fixed_metrics(loads, ONE)
+            total = sum(loads)
+            per_iteration.append(
+                {
+                    "iteration": i,
+                    "start_s": self._marks[i],
+                    "lambda": metrics["lambda"],
+                    "cov": metrics["cov"],
+                    "gini": metrics["gini"],
+                    "max_s": metrics["max_s"],
+                    "total_s": metrics["total_s"],
+                    "loads": {
+                        str(cid): x / ONE for cid, x in zip(self.core_ids, loads)
+                    },
+                    "shares": {
+                        str(cid): (x / total if total else 0.0)
+                        for cid, x in zip(self.core_ids, loads)
+                    },
+                }
+            )
 
         steps = []
-        recovered_total = _ZERO
-        recoverable_total = _ZERO
-        for k, cf in enumerate(self.counterfactuals()):
+        recovered_total = Fraction(0)
+        recoverable_total = Fraction(0)
+        for k, cf in enumerate(self._counterfactuals(snaps, rows)):
             step = self._steps[k]
             record = audit[k] if audit is not None else None
             if record is not None and record.get("iteration") is not None:
@@ -568,45 +591,50 @@ class LineageRecorder:
             "residencies": residencies,
             "per_iteration": per_iteration,
             "steps": steps,
-            "run": self._run_block(steps, recovered_total, recoverable_total),
+            "run": self._run_block(
+                steps, snaps[-1], rows, recovered_total, recoverable_total
+            ),
         }
 
     def _run_block(
         self,
         steps: List[Dict[str, Any]],
+        final_mapping: Mapping[ChareKey, int],
+        rows: List[List[int]],
         recovered: Fraction,
         recoverable: Fraction,
     ) -> Dict[str, Any]:
         n = self.n_iterations
+        P = len(self.core_ids)
         final_lo = self._steps[-1]["iteration"] if self._steps else 0
-        bg_snaps = self._bg_snapshots()
-        interference = self._bg_delta(bg_snaps[-2], bg_snaps[-1], self.core_ids)
-        app_loads = self._interval_loads(final_lo, n)
-        loads = {c: app_loads[c] + interference[c] for c in self.core_ids}
+        interference = self._bg_deltas()[-1]
+        loads = list(interference)
+        for row in rows[final_lo:n]:
+            loads = [a + b for a, b in zip(loads, row)]
         hotspot = None
-        total = sum(loads.values(), _ZERO)
+        total = sum(loads)
         if total > 0:
             # max effective load wins; ties break to the lowest core id
-            hot = max(self.core_ids, key=lambda cid: (loads[cid], -cid))
+            j = max(
+                range(P), key=lambda j: (loads[j], -self.core_ids[j])
+            )
+            hot = self.core_ids[j]
+            # the final mapping holds for the whole closing interval
             on_core = sorted(
                 (
-                    (sum(
-                        (Fraction(self._samples[i][key][1])
-                         for i in range(final_lo, n)
-                         if self._samples.get(i, {}).get(key, (None,))[0] == hot),
-                        _ZERO,
-                    ), key)
-                    for key in self._placement
+                    (self._chare_load(key, final_lo, n), key)
+                    for key, cid in final_mapping.items()
+                    if cid == hot
                 ),
                 key=lambda pair: (-pair[0], pair[1]),
             )
             hotspot = {
                 "core": hot,
-                "load_s": float(loads[hot]),
-                "interference_s": float(interference[hot]),
-                "share": float(loads[hot] / total),
+                "load_s": loads[j] / ONE,
+                "interference_s": interference[j] / ONE,
+                "share": loads[j] / total,
                 "chares": [
-                    {"chare": _chare_str(key), "cpu_s": float(cpu)}
+                    {"chare": _chare_str(key), "cpu_s": cpu / ONE}
                     for cpu, key in on_core[:3]
                     if cpu > 0
                 ],
@@ -622,15 +650,6 @@ class LineageRecorder:
             "sane": all(s["sane"] for s in steps),
             "residual_hotspot": hotspot,
         }
-
-
-def _steps_before(bounds: List[int], iteration: int) -> int:
-    """How many LB steps precede ``iteration`` (bounds is sorted)."""
-    count = 0
-    for b in bounds:
-        if b <= iteration:
-            count += 1
-    return count
 
 
 def _join_reason(

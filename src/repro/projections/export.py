@@ -12,8 +12,21 @@ Times are exported in microseconds, as the format requires.
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+import os
+import tempfile
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.perf.profiler import PhaseProfiler, phase_trace_events
 from repro.runtime.tracing import TraceLog
@@ -27,6 +40,10 @@ __all__ = [
 ]
 
 _US = 1e6  # seconds -> microseconds
+
+#: Events encoded per ``json.dumps`` call when writing a trace: ~15 kB of
+#: text, so encoding a ~3 MB trace does not raise peak memory.
+_CHUNK = 64
 
 
 def to_trace_events(
@@ -46,73 +63,70 @@ def to_trace_events(
     pid:
         Process id to assign (use distinct pids to overlay several jobs).
     """
-    events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {"name": job_name},
-        }
-    ]
+    return list(_iter_trace_events(trace, job_name=job_name, pid=pid))
+
+
+def _iter_trace_events(
+    trace: TraceLog, *, job_name: str, pid: int
+) -> Iterator[Dict[str, Any]]:
+    """:func:`to_trace_events` one event at a time, so a writer never
+    holds every event of a long run at once."""
+    yield {
+        "name": "process_name",
+        "ph": "M",
+        "pid": pid,
+        "args": {"name": job_name},
+    }
     cores = sorted({t.core_id for t in trace.tasks})
     for cid in cores:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": cid,
-                "args": {"name": trace.core_names.get(cid, f"core {cid}")},
-            }
-        )
+        yield {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": cid,
+            "args": {"name": trace.core_names.get(cid, f"core {cid}")},
+        }
     for t in trace.tasks:
-        events.append(
-            {
-                "name": f"{t.chare[0]}[{t.chare[1]}]",
-                "cat": "task",
-                "ph": "X",
-                "pid": pid,
-                "tid": t.core_id,
-                "ts": t.start * _US,
-                "dur": (t.end - t.start) * _US,
-                "args": {
-                    "iteration": t.iteration,
-                    "cpu_time_s": t.cpu_time,
-                    "wall_time_s": t.end - t.start,
-                },
-            }
-        )
+        yield {
+            "name": f"{t.chare[0]}[{t.chare[1]}]",
+            "cat": "task",
+            "ph": "X",
+            "pid": pid,
+            "tid": t.core_id,
+            "ts": t.start * _US,
+            "dur": (t.end - t.start) * _US,
+            "args": {
+                "iteration": t.iteration,
+                "cpu_time_s": t.cpu_time,
+                "wall_time_s": t.end - t.start,
+            },
+        }
     for m in trace.migrations:
-        events.append(
-            {
-                "name": f"migrate {m.chare[0]}[{m.chare[1]}] {m.src}->{m.dst}",
-                "cat": "migration",
-                "ph": "i",
-                "s": "p",  # process-scoped instant
-                "pid": pid,
-                "tid": m.src,
-                "ts": m.time * _US,
-                "args": {"state_bytes": m.state_bytes, "dst": m.dst},
-            }
-        )
+        yield {
+            "name": f"migrate {m.chare[0]}[{m.chare[1]}] {m.src}->{m.dst}",
+            "cat": "migration",
+            "ph": "i",
+            "s": "p",  # process-scoped instant
+            "pid": pid,
+            "tid": m.src,
+            "ts": m.time * _US,
+            "args": {"state_bytes": m.state_bytes, "dst": m.dst},
+        }
     for step in trace.lb_steps:
-        events.append(
-            {
-                "name": f"LB step ({step.num_migrations} migrations)",
-                "cat": "lb",
-                "ph": "X",
-                "pid": pid,
-                "tid": cores[0] if cores else 0,
-                "ts": step.time * _US,
-                "dur": max(step.migration_cost_s, 1e-6) * _US,
-                "args": {
-                    "iteration": step.iteration,
-                    "t_avg": step.t_avg,
-                    "max_load": step.max_load,
-                },
-            }
-        )
-    return events
+        yield {
+            "name": f"LB step ({step.num_migrations} migrations)",
+            "cat": "lb",
+            "ph": "X",
+            "pid": pid,
+            "tid": cores[0] if cores else 0,
+            "ts": step.time * _US,
+            "dur": max(step.migration_cost_s, 1e-6) * _US,
+            "args": {
+                "iteration": step.iteration,
+                "t_avg": step.t_avg,
+                "max_load": step.max_load,
+            },
+        }
 
 
 def audit_counter_events(
@@ -277,18 +291,46 @@ def write_chrome_trace(
     host wall-clock phase breakdown as its own process lane.
     Simulated-time and host-time lanes share one timeline axis but not
     an origin — compare durations, not positions.
+
+    The file is written to a temporary sibling and renamed into place,
+    so a killed writer never leaves a half-written trace at ``path``.
     """
-    events = to_trace_events(trace, job_name=job_name, pid=1)
+    parts: List[Iterable[Dict[str, Any]]] = [
+        _iter_trace_events(trace, job_name=job_name, pid=1)
+    ]
     for i, other in enumerate(extra or (), start=2):
-        events.extend(to_trace_events(other, job_name=f"job-{i}", pid=i))
+        parts.append(_iter_trace_events(other, job_name=f"job-{i}", pid=i))
     if audit:
-        events.extend(audit_counter_events(audit, pid=1))
+        parts.append(audit_counter_events(audit, pid=1))
     if ledger is not None:
-        events.extend(ledger_counter_events(ledger, pid=1))
+        parts.append(ledger_counter_events(ledger, pid=1))
     if lineage is not None:
-        events.extend(lineage_counter_events(lineage, pid=1))
+        parts.append(lineage_counter_events(lineage, pid=1))
     if profile is not None:
-        events.extend(phase_trace_events(profile))
-    with open(path, "w") as fh:
-        json.dump(events, fh)
-    return len(events)
+        parts.append(phase_trace_events(profile))
+    events = itertools.chain.from_iterable(parts)
+    n = 0
+    # ``json.dump`` streams through the pure-Python encoder; the C encoder
+    # behind ``json.dumps`` writes the same bytes, a bounded chunk of
+    # events at a time, so neither the event list nor the document is
+    # ever held whole
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", suffix=".json.tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("[")
+            while chunk := list(itertools.islice(events, _CHUNK)):
+                if n:
+                    fh.write(", ")
+                fh.write(json.dumps(chunk)[1:-1])
+                n += len(chunk)
+            fh.write("]")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return n

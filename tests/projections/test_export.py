@@ -95,3 +95,58 @@ def test_multiple_jobs_get_distinct_pids(tmp_path):
     write_chrome_trace(rt1.trace, str(path), extra=[rt2.trace])
     data = json.loads(path.read_text())
     assert {e["pid"] for e in data} == {1, 2}
+
+
+def _audited_point():
+    """One recorded audited sweep point: trace, audit records, profile."""
+    from repro.experiments.sweep import run_point_audited
+
+    _summary, records, trace, profile = run_point_audited(
+        {"app": "jacobi2d", "scale": 0.05, "iterations": 6, "cores": 4,
+         "bg": True, "balancer": "refine-vm", "lb_period": 2}
+    )
+    return records, trace, profile
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_chrome_trace_bytes_equal_json_dump(tmp_path, monkeypatch, chunk):
+    from repro.perf.profiler import phase_trace_events
+    from repro.projections import export
+
+    if chunk is not None:  # exercise the joins between encoded chunks
+        monkeypatch.setattr(export, "_CHUNK", chunk)
+    records, trace, profile = _audited_point()
+    path = tmp_path / "trace.json"
+    n = write_chrome_trace(
+        trace, str(path), job_name="pt", audit=records, profile=profile
+    )
+    events = (
+        to_trace_events(trace, job_name="pt")
+        + export.audit_counter_events(records)
+        + phase_trace_events(profile)
+    )
+    ref = tmp_path / "ref.json"
+    with open(ref, "w") as fh:
+        json.dump(events, fh)
+    assert n == len(events) > 10
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_failed_chrome_trace_write_leaves_no_file(tmp_path):
+    rt = traced_run()
+    path = tmp_path / "trace.json"
+    # an unencodable counter value fails the write part-way through
+    bad = {"per_iteration": [
+        {"start_s": 0.0, "compute": object(), "stolen": 0.0,
+         "overhead": 0.0, "idle": 0.0},
+    ]}
+    with pytest.raises(TypeError):
+        write_chrome_trace(rt.trace, str(path), ledger=bad)
+    assert list(tmp_path.iterdir()) == []
+    # an existing trace at the path survives a failed rewrite intact
+    write_chrome_trace(rt.trace, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_chrome_trace(rt.trace, str(path), ledger=bad)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

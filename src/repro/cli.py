@@ -176,12 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psw.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=["auto", "events", "fast"],
         default="auto",
         help="simulation backend: 'events' = discrete-event engine, "
-        "'fast' = vectorized fast path, 'batch' = structure-of-arrays "
-        "batches over shape-homogeneous point groups (bit-identical "
-        "results), 'auto' = fast where supported (default)",
+        "'fast' = vectorized fast path (bit-identical results), "
+        "'auto' = fast where supported (default)",
     )
     psw.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",
@@ -206,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every point with a time-attribution ledger "
         "(repro.obs.ledger): conservation-checked summaries ride the "
         "results, the cache and the registry; inspect them with "
-        "'repro explain' (incompatible with --audit)",
+        "'repro explain'. Combines with --audit and --lineage in one "
+        "run per point",
     )
     psw.add_argument(
         "--lineage", action="store_true",
@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(repro.obs.lineage): per-chare load samples, migration "
         "residencies, imbalance metrics and counterfactual LB bounds "
         "ride the results, the cache and the registry; inspect them "
-        "with 'repro lineage' (incompatible with --audit and --ledger)",
+        "with 'repro lineage'. Combines with --audit and --ledger in one "
+        "run per point",
     )
     psw.add_argument(
         "--live", action="store_true",
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pfr.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=["auto", "events", "fast"],
         default="auto",
         help="simulation backend for executed points (results are "
         "bit-identical across backends)",
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pex.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=["auto", "events", "fast"],
         default="auto",
         help="backend used when a point's ledger must be recomputed "
         "(runs recorded without 'sweep --ledger'; ledgers are "
@@ -553,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pln.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=["auto", "events", "fast"],
         default="auto",
         help="backend used when a point's lineage must be recomputed "
         "(runs recorded without 'sweep --lineage'; payloads are "
@@ -824,43 +825,6 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.ledger and args.audit is not None:
-        print(
-            "repro sweep: error: --ledger and --audit are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.lineage and args.audit is not None:
-        print(
-            "repro sweep: error: --lineage and --audit are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.lineage and args.ledger:
-        print(
-            "repro sweep: error: --lineage and --ledger are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend == "batch":
-        from repro.experiments.sweep import build_scenario
-        from repro.sim.batch import batch_group_indices
-
-        batch_points = spec.expand()
-        groups = batch_group_indices(
-            [build_scenario(p.params) for p in batch_points]
-        )
-        if len(batch_points) > 1 and all(len(g) == 1 for g in groups):
-            print(
-                f"repro sweep: error: sweep '{spec.name}' is shape-heterogeneous "
-                "(no two points share a batchable shape), so --backend batch "
-                "degrades to per-point execution — use --backend fast",
-                file=sys.stderr,
-            )
-            return 2
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
@@ -1179,23 +1143,24 @@ def _cmd_bench(args) -> int:
             return 2
 
     if args.profile is not None:
-        from repro.experiments.sweep import run_point_audited
+        from repro.experiments.sweep import run_point
         from repro.projections.export import write_chrome_trace
 
-        _, records, trace, profile = run_point_audited(
+        run = run_point(
             {"app": "jacobi2d", "scale": 0.05, "iterations": 10, "cores": 4,
-             "bg": True, "balancer": "refine-vm"}
+             "bg": True, "balancer": "refine-vm"},
+            audit=True,
         )
         args.profile.mkdir(parents=True, exist_ok=True)
         (args.profile / "profile.json").write_text(
-            json.dumps(profile, indent=1, sort_keys=True) + "\n"
+            json.dumps(run.profile, indent=1, sort_keys=True) + "\n"
         )
         write_chrome_trace(
-            trace,
+            run.trace,
             str(args.profile / "profile.trace.json"),
             job_name="profiled-smoke",
-            audit=records,
-            profile=profile,
+            audit=run.audit_records,
+            profile=run.profile,
         )
         print(f"[profile written to {args.profile}]", file=sys.stderr)
 
@@ -1385,7 +1350,7 @@ def _cmd_runs(args) -> int:
 def _cmd_explain(args) -> int:
     import json
 
-    from repro.experiments.sweep import build_scenario, run_point_ledgered
+    from repro.experiments.sweep import build_scenario, run_point
     from repro.obs.ledger import format_ledger_text
     from repro.obs.registry import RunRegistry, default_registry_dir
     from repro.power.meter import decompose_energy
@@ -1435,9 +1400,9 @@ def _cmd_explain(args) -> int:
             # one attached (identical summary, bit-identical ledger on
             # either backend)
             try:
-                _, ledger = run_point_ledgered(
-                    p["params"], backend=args.backend
-                )
+                ledger = run_point(
+                    p["params"], backend=args.backend, ledger=True
+                ).ledger
             except (ValueError, KeyError) as exc:
                 print(f"repro explain: error: {exc}", file=sys.stderr)
                 return 2
@@ -1515,7 +1480,7 @@ def _cmd_explain(args) -> int:
 def _cmd_lineage(args) -> int:
     import json
 
-    from repro.experiments.sweep import run_point_lineaged
+    from repro.experiments.sweep import run_point
     from repro.obs.lineage import format_lineage_text, lineage_dot
     from repro.obs.registry import RunRegistry, default_registry_dir
 
@@ -1559,9 +1524,9 @@ def _cmd_lineage(args) -> int:
             # with a recorder attached (identical summary, bit-identical
             # lineage payload on either backend)
             try:
-                _, lineage = run_point_lineaged(
-                    p["params"], backend=args.backend
-                )
+                lineage = run_point(
+                    p["params"], backend=args.backend, lineage=True
+                ).lineage
             except (ValueError, KeyError) as exc:
                 print(f"repro lineage: error: {exc}", file=sys.stderr)
                 return 2

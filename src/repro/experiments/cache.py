@@ -23,11 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.perf.profiler import active as _profiler
+from repro.util.atomic import write_json_atomic
 
 __all__ = [
     "CACHE_FORMAT",
@@ -122,23 +122,30 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached summary dict for ``key``, or None on a miss."""
-        entry = self._entry(key)
-        if entry is None:
-            return None
-        summary = entry.get("summary")
-        return summary if isinstance(summary, dict) else None
+        hit = self.lookup(key)
+        return hit[0] if hit is not None else None
 
-    def get_extras(self, key: str) -> Optional[Dict[str, Any]]:
-        """The entry's extras section (e.g. telemetry audit), or None.
+    def lookup(
+        self, key: str, extras: Sequence[str] = ()
+    ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
+        """``(summary, {name: extra})`` for ``key``, reading the entry once.
 
-        Entries written before extras existed — or without them — simply
-        return None; callers needing extras treat that as a miss.
+        A hit needs a summary and every extra named in ``extras`` (e.g.
+        ``"audit"``, ``"ledger"``); an entry lacking any of them is a
+        miss, so the caller re-executes the point and stores them.
         """
         entry = self._entry(key)
         if entry is None:
             return None
-        extras = entry.get("extras")
-        return extras if isinstance(extras, dict) else None
+        summary = entry.get("summary")
+        stored = entry.get("extras")
+        if not isinstance(stored, dict):
+            stored = {}
+        if not isinstance(summary, dict) or any(
+            stored.get(name) is None for name in extras
+        ):
+            return None
+        return summary, {name: stored[name] for name in extras}
 
     def get_provenance(self, key: str) -> Optional[Dict[str, Any]]:
         """The entry's provenance stamp, or None (pre-stamp entries)."""
@@ -158,9 +165,11 @@ class ResultCache:
     ) -> None:
         """Store ``summary`` for ``key`` (atomic; params kept for humans).
 
-        ``extras`` carries optional JSON-able side payloads (the telemetry
-        audit section) without touching the summary schema the golden
-        tests pin.
+        ``extras`` carries optional JSON-able side payloads (audit,
+        ledger, lineage) without touching the summary schema the golden
+        tests pin. They are merged over the extras already stored for
+        ``key``, so re-executing a point for one missing payload keeps
+        the others.
 
         Every entry is stamped with a ``provenance`` section (schema
         version, git SHA, the point's RNG seed, short code fingerprint)
@@ -171,8 +180,6 @@ class ResultCache:
         """
         from repro.util.provenance import git_sha
 
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "format": CACHE_FORMAT,
             "key": key,
@@ -185,20 +192,14 @@ class ResultCache:
                 "code_fingerprint": code_fingerprint()[:16],
             },
         }
-        if extras is not None:
+        old = self._entry(key)
+        stored = old.get("extras") if old is not None else None
+        if isinstance(stored, dict):
+            extras = {**stored, **(extras or {})}
+        if extras:
             entry["extras"] = extras
         with _profiler().phase("cache.put"):
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(entry, fh, indent=1, sort_keys=True)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_json_atomic(self._path(key), entry)
 
     def __len__(self) -> int:
         if not self.root.is_dir():

@@ -244,6 +244,7 @@ def run_fabric_sweep(
     unsupported here: audit trails require per-task tracing payloads
     that do not fit shard result files; run audited sweeps locally.
     """
+    from repro.experiments.runner import BACKENDS
     from repro.experiments.sweep import (
         PointResult,
         ScenarioSummary,
@@ -253,8 +254,8 @@ def run_fabric_sweep(
 
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if backend not in ("auto", "events", "fast", "batch"):
-        raise ValueError(f"unknown backend {backend!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
     if num_shards is not None and shard_size is not None:
         raise ValueError("num_shards and shard_size are mutually exclusive")
     log = log if log is not None else EventLog()

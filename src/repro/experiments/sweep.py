@@ -11,7 +11,9 @@ first-class, parallel, cached operation:
   loads one from disk), so sweeps can be versioned and shared.
 * :func:`run_point` — execute one normalised parameter dict on a fresh
   simulated cluster and reduce it to a :class:`ScenarioSummary` (plain
-  scalars — picklable, JSON-able, comparable bit-for-bit).
+  scalars — picklable, JSON-able, comparable bit-for-bit), plus the
+  audit, ledger and lineage payloads of whichever observers it was
+  asked to attach (:class:`PointRun`).
 * :func:`run_sweep` — fan points out over a process pool
   (``workers > 1``) or run them inline (``workers = 1``); either way the
   per-point summaries are **identical**, because each point is a pure
@@ -53,7 +55,8 @@ import math
 import os
 import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -84,7 +87,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.fabric.shards import default_shard_count, plan_shards
 from repro.experiments.progress import EventLog, SweepMetrics
-from repro.experiments.runner import ExperimentResult, run_scenario
+from repro.experiments.runner import BACKENDS, ExperimentResult, run_scenario
 from repro.experiments.scenario import BackgroundSpec, Scenario
 from repro.experiments.tables import format_table
 from repro.perf.profiler import profiled
@@ -100,10 +103,8 @@ __all__ = [
     "background_iterations",
     "ScenarioSummary",
     "summarize_result",
+    "PointRun",
     "run_point",
-    "run_point_audited",
-    "run_point_ledgered",
-    "run_point_lineaged",
     "run_shard",
     "SweepPoint",
     "SweepSpec",
@@ -370,123 +371,88 @@ def summarize_result(result: ExperimentResult) -> ScenarioSummary:
     )
 
 
-def run_point(params: Mapping[str, Any], *, backend: str = "auto") -> ScenarioSummary:
-    """Execute one parameter dict hermetically and summarise it.
+@dataclass(frozen=True)
+class PointRun:
+    """One executed point: its summary plus the payloads asked for.
+
+    ``audit_records``, ``trace`` and ``profile`` are set when the point
+    ran with ``audit=True``: the deterministic per-LB-step audit records,
+    the per-task trace feeding the Chrome/Perfetto export, and the host
+    wall-clock phase breakdown (:meth:`repro.perf.PhaseProfiler.export`,
+    nondeterministic by nature, so written next to traces but never
+    cached). ``ledger`` is the JSON-safe
+    :meth:`repro.obs.ledger.TimeLedger.summary` when ``ledger=True``;
+    ``lineage`` the :meth:`repro.obs.lineage.LineageRecorder.payload`
+    when ``lineage=True``. Every other field is None.
+    """
+
+    summary: ScenarioSummary
+    audit_records: Optional[List[Dict[str, Any]]] = None
+    trace: Optional[TraceLog] = None
+    profile: Optional[Dict[str, Any]] = None
+    ledger: Optional[Dict[str, Any]] = None
+    lineage: Optional[Dict[str, Any]] = None
+
+
+def run_point(
+    params: Mapping[str, Any],
+    *,
+    backend: str = "auto",
+    audit: bool = False,
+    ledger: bool = False,
+    lineage: bool = False,
+) -> PointRun:
+    """Execute one parameter dict hermetically, with any observers.
 
     ``backend`` selects the simulation backend (see
     :func:`repro.experiments.runner.run_scenario`); summaries are
     bit-identical across backends, so it never enters the cache key.
-    """
-    return summarize_result(run_scenario(build_scenario(params), backend=backend))
 
-
-def run_point_audited(
-    params: Mapping[str, Any], *, backend: str = "auto"
-) -> Tuple[ScenarioSummary, List[Dict[str, Any]], TraceLog, Dict[str, Any]]:
-    """Execute one point with telemetry and the phase profiler attached.
-
-    Returns ``(summary, audit_records, trace, profile)``. The summary is
-    bit-identical to :func:`run_point`'s — telemetry, tracing and
-    profiling are strictly observational — so audited and plain runs
-    share cache entries. The audit records carry only simulated
-    quantities and are therefore deterministic across serial/parallel/
-    warm-cache execution; the trace feeds the Chrome/Perfetto export.
-    ``profile`` is the exported host wall-clock phase breakdown
-    (:meth:`repro.perf.PhaseProfiler.export`) — nondeterministic by
-    nature, so it is written next to traces but never cached.
+    ``audit``, ``ledger`` and ``lineage`` attach, in any combination,
+    telemetry plus tracing plus the phase profiler, a
+    :class:`~repro.obs.ledger.TimeLedger` over the application's cores,
+    and a :class:`~repro.obs.lineage.LineageRecorder` whose payload is
+    joined against the run's audit trail. All of them only observe: the
+    summary is bit-identical to an uninstrumented run's (so every run
+    shares one cache entry), and each payload is bit-identical to the
+    one a run with that observer alone produces.
 
     Audited points trace every task, which the fast backend cannot do:
-    ``backend="auto"`` therefore resolves to the event engine here, and
-    ``backend="fast"`` raises
+    ``backend="auto"`` therefore resolves to the event engine when
+    ``audit`` is set, and ``backend="fast"`` raises
     :class:`~repro.sim.fastpath.FastpathUnsupported`.
     """
-    telemetry = Telemetry()
-    scenario = replace(build_scenario(params), tracing=True)
-    with profiled(record_intervals=True) as prof:
-        result = run_scenario(scenario, telemetry=telemetry, backend=backend)
-    return (
-        summarize_result(result),
-        telemetry.audit.records,
-        result.trace,
-        prof.export(),
-    )
-
-
-def _execute_point_audited(
-    payload: Tuple[int, Dict[str, Any], str],
-) -> Tuple[int, Dict[str, Any], List[Dict[str, Any]], TraceLog, Dict[str, Any], float, str]:
-    """Worker entry point for audited runs (picklable, top-level)."""
-    index, params, backend = payload
-    t0 = time.perf_counter()
-    summary, records, trace, profile = run_point_audited(params, backend=backend)
-    wall = time.perf_counter() - t0
-    return index, summary.to_dict(), records, trace, profile, wall, f"pid:{os.getpid()}"
-
-
-def run_point_ledgered(
-    params: Mapping[str, Any], *, backend: str = "auto"
-) -> Tuple[ScenarioSummary, Dict[str, Any]]:
-    """Execute one point with a time-attribution ledger attached.
-
-    Returns ``(summary, ledger_summary)`` where ``ledger_summary`` is the
-    JSON-safe :meth:`repro.obs.ledger.TimeLedger.summary` dict. The
-    scenario summary is bit-identical to :func:`run_point`'s (the ledger
-    is strictly observational), and the ledger itself is bit-identical
-    across backends — the parity suite enforces both.
-    """
-    from repro.obs.ledger import TimeLedger
-
     scenario = build_scenario(params)
-    ledger = TimeLedger(job="app", core_ids=scenario.app_core_ids)
-    result = run_scenario(scenario, backend=backend, ledger=ledger)
-    return summarize_result(result), ledger.summary()
+    if audit:
+        scenario = replace(scenario, tracing=True)
+    telemetry = Telemetry() if audit or lineage else None
+    time_ledger = recorder = None
+    if ledger:
+        from repro.obs.ledger import TimeLedger
 
+        time_ledger = TimeLedger(job="app", core_ids=scenario.app_core_ids)
+    if lineage:
+        from repro.obs.lineage import LineageRecorder
 
-def _execute_point_ledgered(
-    payload: Tuple[int, Dict[str, Any], str],
-) -> Tuple[int, Dict[str, Any], Dict[str, Any], float, str]:
-    """Worker entry point for ledgered runs (picklable, top-level)."""
-    index, params, backend = payload
-    t0 = time.perf_counter()
-    summary, ledger = run_point_ledgered(params, backend=backend)
-    wall = time.perf_counter() - t0
-    return index, summary.to_dict(), ledger, wall, f"pid:{os.getpid()}"
-
-
-def run_point_lineaged(
-    params: Mapping[str, Any], *, backend: str = "auto"
-) -> Tuple[ScenarioSummary, Dict[str, Any]]:
-    """Execute one point with the chare-lineage observatory attached.
-
-    Returns ``(summary, lineage_payload)`` where ``lineage_payload`` is
-    the JSON-safe :meth:`repro.obs.lineage.LineageRecorder.payload`
-    dict, with each LB step joined against the run's audit trail (a
-    :class:`~repro.telemetry.Telemetry` rides along for the join — both
-    are strictly observational, so the scenario summary is bit-identical
-    to :func:`run_point`'s and lineaged runs share cache entries with
-    plain ones). The payload itself is bit-identical across backends —
-    the parity suite enforces both properties.
-    """
-    from repro.obs.lineage import LineageRecorder
-
-    telemetry = Telemetry()
-    scenario = build_scenario(params)
-    lineage = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
-    result = run_scenario(
-        scenario, backend=backend, telemetry=telemetry, lineage=lineage
+        recorder = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
+    with profiled(record_intervals=True) if audit else nullcontext() as prof:
+        result = run_scenario(
+            scenario,
+            telemetry=telemetry,
+            backend=backend,
+            ledger=time_ledger,
+            lineage=recorder,
+        )
+    summary = summarize_result(result)
+    records = telemetry.audit.records if telemetry is not None else None
+    return PointRun(
+        summary=summary,
+        audit_records=records if audit else None,
+        trace=result.trace if audit else None,
+        profile=prof.export() if audit else None,
+        ledger=time_ledger.summary() if ledger else None,
+        lineage=recorder.payload(audit=records) if lineage else None,
     )
-    return summarize_result(result), lineage.payload(audit=telemetry.audit.records)
-
-
-def _execute_point_lineaged(
-    payload: Tuple[int, Dict[str, Any], str],
-) -> Tuple[int, Dict[str, Any], Dict[str, Any], float, str]:
-    """Worker entry point for lineaged runs (picklable, top-level)."""
-    index, params, backend = payload
-    t0 = time.perf_counter()
-    summary, lineage = run_point_lineaged(params, backend=backend)
-    wall = time.perf_counter() - t0
-    return index, summary.to_dict(), lineage, wall, f"pid:{os.getpid()}"
 
 
 def run_shard(
@@ -494,6 +460,9 @@ def run_shard(
     *,
     backend: str = "auto",
     worker: Optional[str] = None,
+    audit: bool = False,
+    ledger: bool = False,
+    lineage: bool = False,
 ):
     """Execute an ordered shard of ``(index, params)`` pairs lazily.
 
@@ -501,42 +470,29 @@ def run_shard(
     on: the in-process serial path, the local process pool
     (:func:`_execute_shard`) and the distributed fabric worker
     (:mod:`repro.experiments.fabric.worker`) all feed it the same pairs
-    and consume the same ``(index, summary_dict, wall_s, worker_tag)``
+    and consume the same ``(index, PointRun, wall_s, worker_tag)``
     tuples — which is why their summaries are bit-identical by
     construction. Each point is simulated when its tuple is pulled, so
     callers can interleave progress events, cache writes and fault
     boundaries between points. ``worker`` overrides the default
-    ``pid:<n>`` provenance tag.
-
-    ``backend="batch"`` trades that laziness for throughput: the whole
-    shard's scenarios are built up front, grouped by shape signature
-    (:func:`repro.sim.batch.batch_groups`) and executed as single batch
-    calls sharing one process and one work table per group — the first
-    pull therefore simulates the entire shard. Tuples still come back
-    one per point, in shard order, bit-identical to the lazy path.
+    ``pid:<n>`` provenance tag; ``audit``/``ledger``/``lineage`` are
+    passed to :func:`run_point` for every point.
     """
     tag = worker if worker is not None else f"pid:{os.getpid()}"
-    if backend == "batch":
-        from repro.sim.batch import run_scenarios_batch
-
-        scenarios = [build_scenario(params) for _, params in shard_points]
-        walls = [0.0] * len(scenarios)
-        results = run_scenarios_batch(scenarios, walls=walls)
-        for (index, _), result, wall in zip(shard_points, results, walls):
-            yield index, summarize_result(result).to_dict(), wall, tag
-        return
     for index, params in shard_points:
         t0 = time.perf_counter()
-        summary = run_point(params, backend=backend)
-        yield index, summary.to_dict(), time.perf_counter() - t0, tag
+        run = run_point(
+            params, backend=backend, audit=audit, ledger=ledger, lineage=lineage
+        )
+        yield index, run, time.perf_counter() - t0, tag
 
 
 def _execute_shard(
-    payload: Tuple[List[Tuple[int, Dict[str, Any]]], str],
-) -> List[Tuple[int, Dict[str, Any], float, str]]:
+    payload: Tuple[List[Tuple[int, Dict[str, Any]]], str, Dict[str, bool]],
+) -> List[Tuple[int, PointRun, float, str]]:
     """Pool entry point: drain one shard through :func:`run_shard`."""
-    shard_points, backend = payload
-    return list(run_shard(shard_points, backend=backend))
+    shard_points, backend, observers = payload
+    return list(run_shard(shard_points, backend=backend, **observers))
 
 
 # ---------------------------------------------------------------------------
@@ -783,17 +739,12 @@ def run_sweep(
         ``run_id`` is emitted. Ingest is strictly post-hoc — the
         per-point execution path never sees the registry.
     backend:
-        Simulation backend for executed points (``"auto"``, ``"events"``,
-        ``"fast"`` or ``"batch"``; see
-        :func:`repro.experiments.runner.run_scenario`). ``"batch"``
-        executes shape-homogeneous point groups as single
-        structure-of-arrays batch calls (:mod:`repro.sim.batch`) instead
-        of one simulation per point; heterogeneous points degrade to the
-        per-point fast path. Summaries are bit-identical across
-        backends, so the cache key — and therefore hits — are
-        backend-independent. Audited points (``audit_dir``) require
-        per-task tracing and always run on the event engine under
-        ``"auto"``.
+        Simulation backend for executed points (``"auto"``, ``"events"``
+        or ``"fast"``; see :func:`repro.experiments.runner.run_scenario`).
+        Summaries are bit-identical across backends, so the cache key —
+        and therefore hits — are backend-independent. Audited points
+        (``audit_dir``) require per-task tracing and always run on the
+        event engine under ``"auto"``.
     driver:
         ``"local"`` (default) executes here — in-process or via a
         process pool; ``"fabric"`` delegates to the distributed
@@ -815,8 +766,7 @@ def run_sweep(
         summary rides the :class:`PointResult`, the cache entry (as a
         ``ledger`` extra — hits lacking one are re-executed) and the
         registry record. Summaries stay bit-identical to un-ledgered
-        runs. Mutually exclusive with ``audit_dir`` and the fabric
-        driver.
+        runs.
     lineage:
         When True every point runs with a chare-lineage recorder
         attached (:mod:`repro.obs.lineage`): per-chare load samples,
@@ -824,42 +774,25 @@ def run_sweep(
         counterfactual LB bounds ride the :class:`PointResult`, the
         cache entry (as a ``lineage`` extra — hits lacking one are
         re-executed) and the registry record. Summaries stay
-        bit-identical to un-lineaged runs. Mutually exclusive with
-        ``audit_dir``, ``ledger`` and the fabric driver.
+        bit-identical to un-lineaged runs.
+
+    ``audit_dir``, ``ledger`` and ``lineage`` combine freely: each point
+    runs once with every requested observer attached (see
+    :func:`run_point`), and a cache hit must carry every requested
+    payload. None of them is available on the fabric driver.
     """
     if driver not in ("local", "fabric"):
         raise ValueError(f"unknown driver {driver!r}")
-    if ledger and audit_dir is not None:
-        raise ValueError(
-            "ledger=True and audit_dir are mutually exclusive: each "
-            "requests its own per-point instrumentation run"
-        )
-    if lineage and audit_dir is not None:
-        raise ValueError(
-            "lineage=True and audit_dir are mutually exclusive: each "
-            "requests its own per-point instrumentation run"
-        )
-    if lineage and ledger:
-        raise ValueError(
-            "lineage=True and ledger=True are mutually exclusive: each "
-            "requests its own per-point instrumentation run"
-        )
+    observers = {
+        "audit": audit_dir is not None, "ledger": ledger, "lineage": lineage
+    }
+    wanted = [name for name, on in observers.items() if on]
     if driver == "fabric":
-        if ledger:
+        if wanted:
+            option = "audit_dir" if wanted[0] == "audit" else wanted[0]
             raise ValueError(
-                "ledger=True requires driver='local': ledger payloads do "
-                "not travel through shard result files"
-            )
-        if lineage:
-            raise ValueError(
-                "lineage=True requires driver='local': lineage payloads "
+                f"{option} requires driver='local': observer payloads "
                 "do not travel through shard result files"
-            )
-        if audit_dir is not None:
-            raise ValueError(
-                "audit_dir requires driver='local': audit trails carry "
-                "per-task tracing payloads that do not travel through "
-                "shard result files"
             )
         from repro.experiments.fabric.coordinator import run_fabric_sweep
 
@@ -877,8 +810,8 @@ def run_sweep(
         raise ValueError("fabric_dir/fabric_options require driver='fabric'")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if backend not in ("auto", "events", "fast", "batch"):
-        raise ValueError(f"unknown backend {backend!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
     log = log if log is not None else EventLog()
     t_start = time.perf_counter()
 
@@ -897,50 +830,32 @@ def run_sweep(
     outcomes: Dict[int, PointResult] = {}
     misses: List[SweepPoint] = []
     for p in points:
-        hit = cache.get(keys[p.index]) if cache is not None else None
-        cached_audit: Optional[Dict[str, Any]] = None
-        cached_ledger: Optional[Dict[str, Any]] = None
-        cached_lineage: Optional[Dict[str, Any]] = None
-        if hit is not None and audit_path is not None:
-            extras = cache.get_extras(keys[p.index])
-            cached_audit = extras.get("audit") if extras else None
-            if cached_audit is None:
-                # the entry predates auditing; the records must be
-                # regenerated, so treat it as a miss
-                hit = None
-        if hit is not None and ledger:
-            extras = cache.get_extras(keys[p.index])
-            cached_ledger = extras.get("ledger") if extras else None
-            if cached_ledger is None:
-                # no ledger payload cached for this entry: re-execute
-                hit = None
-        if hit is not None and lineage:
-            extras = cache.get_extras(keys[p.index])
-            cached_lineage = extras.get("lineage") if extras else None
-            if cached_lineage is None:
-                # no lineage payload cached for this entry: re-execute
-                hit = None
-        if hit is not None:
-            if cached_audit is not None:
-                write_audit_jsonl(
-                    cached_audit["records"],
-                    audit_path / f"{audit_stem(p)}.jsonl",
-                )
-            outcomes[p.index] = PointResult(
-                index=p.index,
-                label=p.label,
-                params=p.params,
-                key=keys[p.index],
-                summary=ScenarioSummary.from_dict(hit),
-                cached=True,
-                wall_s=0.0,
-                worker="cache",
-                audit=cached_audit["summary"] if cached_audit else None,
-                ledger=cached_ledger,
-                lineage=cached_lineage,
-            )
-        else:
+        # a hit must carry every requested payload; an entry lacking
+        # one is re-executed with all of them and the new payloads are
+        # merged into it
+        hit = cache.lookup(keys[p.index], wanted) if cache is not None else None
+        if hit is None:
             misses.append(p)
+            continue
+        summary, extras = hit
+        if "audit" in extras:
+            write_audit_jsonl(
+                extras["audit"]["records"],
+                audit_path / f"{audit_stem(p)}.jsonl",
+            )
+        outcomes[p.index] = PointResult(
+            index=p.index,
+            label=p.label,
+            params=p.params,
+            key=keys[p.index],
+            summary=ScenarioSummary.from_dict(summary),
+            cached=True,
+            wall_s=0.0,
+            worker="cache",
+            audit=extras["audit"]["summary"] if "audit" in extras else None,
+            ledger=extras.get("ledger"),
+            lineage=extras.get("lineage"),
+        )
 
     log.emit(
         "sweep_start",
@@ -960,181 +875,66 @@ def run_sweep(
                 worker="cache",
             )
 
-    def finish(
-        p: SweepPoint,
-        summary: ScenarioSummary,
-        wall: float,
-        worker: str,
-        records: Optional[List[Dict[str, Any]]] = None,
-        trace: Optional[TraceLog] = None,
-        profile: Optional[Dict[str, Any]] = None,
-        ledger_summary: Optional[Dict[str, Any]] = None,
-        lineage_payload: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    by_index = {p.index: p for p in misses}
+
+    def finish(index: int, run: PointRun, wall: float, worker: str) -> None:
+        p = by_index[index]
+        records = run.audit_records
         audit_sum = audit_summary(records) if records is not None else None
-        outcomes[p.index] = PointResult(
-            index=p.index,
+        outcomes[index] = PointResult(
+            index=index,
             label=p.label,
             params=p.params,
-            key=keys[p.index],
-            summary=summary,
+            key=keys[index],
+            summary=run.summary,
             cached=False,
             wall_s=wall,
             worker=worker,
             audit=audit_sum,
-            ledger=ledger_summary,
-            lineage=lineage_payload,
+            ledger=run.ledger,
+            lineage=run.lineage,
         )
         if cache is not None:
-            extras = None
+            extras = {}
             if records is not None:
-                extras = {"audit": {"summary": audit_sum, "records": records}}
-            if ledger_summary is not None:
-                extras = {**(extras or {}), "ledger": ledger_summary}
-            if lineage_payload is not None:
-                extras = {**(extras or {}), "lineage": lineage_payload}
-            cache.put(keys[p.index], p.params, summary.to_dict(), extras=extras)
-        if audit_path is not None and records is not None:
+                extras["audit"] = {"summary": audit_sum, "records": records}
+            if run.ledger is not None:
+                extras["ledger"] = run.ledger
+            if run.lineage is not None:
+                extras["lineage"] = run.lineage
+            cache.put(keys[index], p.params, run.summary.to_dict(), extras=extras)
+        if records is not None:
             stem = audit_stem(p)
             n = write_audit_jsonl(records, audit_path / f"{stem}.jsonl")
-            if trace is not None:
-                write_chrome_trace(
-                    trace,
-                    str(audit_path / f"{stem}.trace.json"),
-                    job_name=p.label,
-                    audit=records,
-                    profile=profile,
-                )
+            write_chrome_trace(
+                run.trace,
+                str(audit_path / f"{stem}.trace.json"),
+                job_name=p.label,
+                audit=records,
+                profile=run.profile,
+            )
             _log.debug("%s: wrote %d audit records", p.label, n)
         log.emit(
             "point_done",
             label=p.label,
-            key=keys[p.index],
+            key=keys[index],
             cached=False,
             wall_s=round(wall, 6),
             worker=worker,
         )
 
-    by_index = {p.index: p for p in misses}
     if misses and workers == 1:
-        if audit_path is not None:
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                t0 = time.perf_counter()
-                summary, records, trace, profile = run_point_audited(
-                    p.params, backend=backend
-                )
-                finish(
-                    p, summary, time.perf_counter() - t0, "main",
-                    records=records, trace=trace, profile=profile,
-                )
-        elif ledger:
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                t0 = time.perf_counter()
-                summary, ledger_sum = run_point_ledgered(
-                    p.params, backend=backend
-                )
-                finish(
-                    p, summary, time.perf_counter() - t0, "main",
-                    ledger_summary=ledger_sum,
-                )
-        elif lineage:
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                t0 = time.perf_counter()
-                summary, lineage_payload = run_point_lineaged(
-                    p.params, backend=backend
-                )
-                finish(
-                    p, summary, time.perf_counter() - t0, "main",
-                    lineage_payload=lineage_payload,
-                )
-        else:
-            # one lazy shard: each next() simulates one point, so the
-            # point_start / point_done interleaving is unchanged
-            results = run_shard(
-                [(p.index, p.params) for p in misses],
-                backend=backend,
-                worker="main",
-            )
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                index, summary_dict, wall, worker = next(results)
-                finish(
-                    by_index[index],
-                    ScenarioSummary.from_dict(summary_dict),
-                    wall,
-                    worker,
-                )
-    elif misses and audit_path is not None:
-        # audited pool path: per-point tasks (audit payloads are heavy
-        # enough that shard-granular batching buys nothing)
-        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            futures = {}
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                task = (p.index, p.params, backend)
-                futures[pool.submit(_execute_point_audited, task)] = p.index
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    (
-                        index, summary_dict, records, trace, profile,
-                        wall, worker,
-                    ) = fut.result()
-                    finish(
-                        by_index[index],
-                        ScenarioSummary.from_dict(summary_dict),
-                        wall,
-                        worker,
-                        records=records,
-                        trace=trace,
-                        profile=profile,
-                    )
-    elif misses and ledger:
-        # ledgered pool path: per-point tasks, like the audited path —
-        # each point carries its own ledger summary back
-        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            futures = {}
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                task = (p.index, p.params, backend)
-                futures[pool.submit(_execute_point_ledgered, task)] = p.index
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    index, summary_dict, ledger_sum, wall, worker = fut.result()
-                    finish(
-                        by_index[index],
-                        ScenarioSummary.from_dict(summary_dict),
-                        wall,
-                        worker,
-                        ledger_summary=ledger_sum,
-                    )
-    elif misses and lineage:
-        # lineaged pool path: per-point tasks — each point carries its
-        # own lineage payload back
-        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            futures = {}
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                task = (p.index, p.params, backend)
-                futures[pool.submit(_execute_point_lineaged, task)] = p.index
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    index, summary_dict, lin_payload, wall, worker = fut.result()
-                    finish(
-                        by_index[index],
-                        ScenarioSummary.from_dict(summary_dict),
-                        wall,
-                        worker,
-                        lineage_payload=lin_payload,
-                    )
+        # one lazy shard: each next() simulates one point, so every
+        # point_start lands just before its own simulation
+        runs = run_shard(
+            [(p.index, p.params) for p in misses],
+            backend=backend,
+            worker="main",
+            **observers,
+        )
+        for p in misses:
+            log.emit("point_start", label=p.label, key=keys[p.index])
+            finish(*next(runs))
     elif misses:
         # the local pool is a fabric in miniature: the same shard plan
         # the distributed coordinator publishes, executed by pool
@@ -1144,7 +944,7 @@ def run_sweep(
             default_shard_count(len(misses), workers),
         )
         with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-            futures = {}
+            futures = []
             for shard in shards:
                 for index in shard.point_indices:
                     p = by_index[index]
@@ -1152,19 +952,12 @@ def run_sweep(
                 task = (
                     [(i, by_index[i].params) for i in shard.point_indices],
                     backend,
+                    observers,
                 )
-                futures[pool.submit(_execute_shard, task)] = shard.shard_id
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    for index, summary_dict, wall, worker in fut.result():
-                        finish(
-                            by_index[index],
-                            ScenarioSummary.from_dict(summary_dict),
-                            wall,
-                            worker,
-                        )
+                futures.append(pool.submit(_execute_shard, task))
+            for fut in as_completed(futures):
+                for outcome in fut.result():
+                    finish(*outcome)
 
     elapsed = time.perf_counter() - t_start
     executed = [r for r in outcomes.values() if not r.cached]

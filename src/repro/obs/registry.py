@@ -30,12 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.experiments.cache import canonical_json, code_fingerprint
 from repro.util import get_logger, git_sha, utc_timestamp
+from repro.util.atomic import write_json_atomic
 
 __all__ = [
     "RUN_SCHEMA",
@@ -56,22 +56,6 @@ def default_registry_dir() -> Path:
     if env:
         return Path(env)
     return Path.cwd() / "results" / "registry"
-
-
-def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class RunRegistry:
@@ -130,7 +114,7 @@ class RunRegistry:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
     def _ingest(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        _atomic_write_json(self._run_path(record["run_id"]), record)
+        write_json_atomic(self._run_path(record["run_id"]), record)
         self._append_index(record)
         _log.info("registered run %s (%s)", record["run_id"], record["kind"])
         return record

@@ -29,7 +29,7 @@ caller opts in — bit-identical results, no allocation, no clock reads.
 
 Host wall-clock is inherently nondeterministic, so profiles must never
 be folded into cached sweep summaries; they ride next to results the
-way Chrome traces do (see ``run_point_audited``).
+way Chrome traces do (see ``run_point(..., audit=True)``).
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-import tempfile
 from typing import (
     Any,
     Dict,
@@ -30,6 +28,7 @@ from typing import (
 
 from repro.perf.profiler import PhaseProfiler, phase_trace_events
 from repro.runtime.tracing import TraceLog
+from repro.util.atomic import atomic_write
 
 __all__ = [
     "to_trace_events",
@@ -314,23 +313,12 @@ def write_chrome_trace(
     # behind ``json.dumps`` writes the same bytes, a bounded chunk of
     # events at a time, so neither the event list nor the document is
     # ever held whole
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", suffix=".json.tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("[")
-            while chunk := list(itertools.islice(events, _CHUNK)):
-                if n:
-                    fh.write(", ")
-                fh.write(json.dumps(chunk)[1:-1])
-                n += len(chunk)
-            fh.write("]")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as fh:
+        fh.write("[")
+        while chunk := list(itertools.islice(events, _CHUNK)):
+            if n:
+                fh.write(", ")
+            fh.write(json.dumps(chunk)[1:-1])
+            n += len(chunk)
+        fh.write("]")
     return n

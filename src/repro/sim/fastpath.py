@@ -610,7 +610,6 @@ class _FastJob:
         if self.comm_graph is not None:
             comm = {key: self.comm_graph.neighbors(key) for key in self.chares}
         self.db = LBDatabase(procstat, state_bytes, comm=comm)
-        # built at launch, after any per-instance work() binding
         chares = list(self.chares.values())
         self._slot = {c.key: i for i, c in enumerate(chares)}
         self._row_fn = type(chares[0]).work_rows(chares)
@@ -1707,7 +1706,6 @@ def run_scenario_fast(
     telemetry: Optional[Telemetry] = None,
     ledger=None,
     lineage=None,
-    _work_tables=None,
 ):
     """Execute ``scenario`` on the fast path (see module docstring).
 
@@ -1719,13 +1717,6 @@ def run_scenario_fast(
     :class:`~repro.obs.lineage.LineageRecorder` to the application job;
     it observes per-chare load samples and LB migrations and is closed
     at application finish.
-
-    ``_work_tables`` (internal, set by :mod:`repro.sim.batch`) maps job
-    name (``"app"`` / ``"bg"``) to precomputed per-chare work rows
-    (``chare.key -> [work(0), work(1), ...]``). Rows are bound over the
-    chares' ``work`` methods — a pure common-subexpression elimination,
-    valid because every entry was produced by the identical float
-    expression the chare itself would evaluate.
 
     Returns the same :class:`~repro.experiments.runner.ExperimentResult`
     as :func:`~repro.experiments.runner.run_scenario`, bit-identical.
@@ -1808,15 +1799,6 @@ def run_scenario_fast(
             use_comm_graph=False,
             job_telemetry=None,
         )
-
-    if _work_tables is not None:
-        for jname, job in (("app", app), ("bg", bg)):
-            rows = _work_tables.get(jname) if job is not None else None
-            if rows:
-                for key, ch in job.chares.items():
-                    row = rows.get(key)
-                    if row is not None:
-                        ch.work = row.__getitem__
 
     if bg is not None:
         app.others.append(bg)

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.util import get_logger
+from repro.util.atomic import atomic_write, write_json_atomic
 
 __all__ = [
     "AUDIT_SCHEMA",
@@ -201,23 +201,11 @@ def write_audit_jsonl(records: Iterable[Mapping[str, Any]], path: Union[str, "Pa
     path — readers either see the complete file or none at all.
     Returns the number of records written.
     """
-    path = os.fspath(path)
     n = 0
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", suffix=".jsonl.tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                n += 1
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            n += 1
     return n
 
 
@@ -230,20 +218,7 @@ def write_json_artifact(payload: Mapping[str, Any], path: Union[str, "Path"]) ->
     output) that ride next to audit trails. Returns the final path.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", suffix=".json.tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_json_atomic(path, payload)
     return path
 
 

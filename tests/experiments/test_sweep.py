@@ -168,7 +168,7 @@ class TestResultCache:
         params = normalize_params(TINY)
         key = point_key(params)
         assert cache.get(key) is None
-        summary = run_point(params)
+        summary = run_point(params).summary
         cache.put(key, params, summary.to_dict())
         assert len(cache) == 1
         assert ScenarioSummary.from_dict(cache.get(key)) == summary
@@ -315,10 +315,10 @@ class TestRunSweep:
 
 class TestSummaryRoundTrip:
     def test_json_round_trip_is_exact(self):
-        summary = run_point(normalize_params(TINY))
+        summary = run_point(normalize_params(TINY)).summary
         blob = json.dumps(summary.to_dict())
         assert ScenarioSummary.from_dict(json.loads(blob)) == summary
 
     def test_bg_time_present_only_with_background(self):
-        assert run_point({**TINY}).bg_time is None
-        assert run_point({**TINY, "bg": True}).bg_time > 0
+        assert run_point({**TINY}).summary.bg_time is None
+        assert run_point({**TINY, "bg": True}).summary.bg_time > 0

@@ -80,6 +80,6 @@ def test_run_scenario_is_hermetic_with_fresh_balancers():
 
 def test_seed_actually_varies_results():
     """Distinct seeds give distinct runs (the seeding is really wired in)."""
-    a = run_point({**TINY, "cores": 4, "seed": 0})
-    b = run_point({**TINY, "cores": 4, "seed": 1})
+    a = run_point({**TINY, "cores": 4, "seed": 0}).summary
+    b = run_point({**TINY, "cores": 4, "seed": 1}).summary
     assert a != b

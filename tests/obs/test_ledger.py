@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.experiments.sweep import (
     build_scenario,
     run_point,
-    run_point_ledgered,
     run_sweep,
 )
 from repro.experiments.sweep_presets import smoke_spec
@@ -180,7 +179,8 @@ _params = st.fixed_dictionaries(
 @given(params=_params)
 def test_conservation_over_random_scenarios(params):
     """Every simulated core-second lands in exactly one bucket."""
-    summary, ledger = run_point_ledgered(params)
+    run = run_point(params, ledger=True)
+    summary, ledger = run.summary, run.ledger
     assert ledger["conserved"]
     assert ledger["residual_s"] == 0.0
     assert ledger["wall_s"] == summary.app_time
@@ -196,7 +196,7 @@ def test_stolen_time_responds_to_bg_weight():
     """More co-runner weight -> more stolen time (the Fig. 2 mechanism)."""
     fractions = []
     for weight in (1.0, 2.0, 4.0):
-        _, ledger = run_point_ledgered(
+        ledger = run_point(
             {
                 "app": "jacobi2d",
                 "scale": 0.05,
@@ -205,15 +205,16 @@ def test_stolen_time_responds_to_bg_weight():
                 "bg": True,
                 "bg_weight": weight,
                 "balancer": "refine-vm",
-            }
-        )
+            },
+            ledger=True,
+        ).ledger
         assert ledger["conserved"]
         fractions.append(ledger["fractions"]["stolen"])
     assert fractions[0] < fractions[1] < fractions[2]
 
 
 def test_no_bg_means_no_stolen_time():
-    _, ledger = run_point_ledgered(
+    ledger = run_point(
         {
             "app": "jacobi2d",
             "scale": 0.05,
@@ -221,15 +222,16 @@ def test_no_bg_means_no_stolen_time():
             "cores": 4,
             "bg": False,
             "balancer": "none",
-        }
-    )
+        },
+        ledger=True,
+    ).ledger
     assert ledger["conserved"]
     assert ledger["totals"]["stolen"] == 0.0
     assert ledger["totals"]["overhead"] == 0.0
 
 
 def test_lb_run_records_migration_overhead():
-    _, ledger = run_point_ledgered(
+    ledger = run_point(
         {
             "app": "jacobi2d",
             "scale": 0.05,
@@ -237,8 +239,9 @@ def test_lb_run_records_migration_overhead():
             "cores": 4,
             "bg": True,
             "balancer": "refine-vm",
-        }
-    )
+        },
+        ledger=True,
+    ).ledger
     assert ledger["conserved"]
     assert ledger["totals"]["overhead"] > 0.0
 
@@ -258,7 +261,8 @@ class TestEnergyDecomposition:
             "bg": True,
             "balancer": "refine-vm",
         }
-        summary, ledger = run_point_ledgered(params)
+        run = run_point(params, ledger=True)
+        summary, ledger = run.summary, run.ledger
         scenario = build_scenario(params)
         nodes = len(
             {cid // scenario.cores_per_node for cid in scenario.app_core_ids}
@@ -358,13 +362,6 @@ class TestSweepCarriage:
         for point in record["points"]:
             assert point["ledger"]["conserved"]
 
-    def test_audit_and_ledger_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_sweep(
-                smoke_spec(), workers=1, cache=None,
-                ledger=True, audit_dir=tmp_path / "audit",
-            )
-
     def test_fabric_driver_rejects_ledger(self):
         with pytest.raises(ValueError, match="driver='local'"):
             run_sweep(
@@ -461,19 +458,21 @@ class TestAnomalyRules:
 
 class TestSurfaces:
     def test_waterfall_text(self):
-        _, ledger = run_point_ledgered(
+        ledger = run_point(
             {"app": "jacobi2d", "scale": 0.05, "iterations": 6, "cores": 4,
-             "bg": True, "balancer": "refine-vm"}
-        )
+             "bg": True, "balancer": "refine-vm"},
+            ledger=True,
+        ).ledger
         text = format_ledger_text(ledger, label="demo", top=3)
         assert "demo:" in text and "[conserved]" in text
         assert "per-core waterfall" in text
         assert "top 3 chares" in text
 
     def test_waterfall_flags_violation(self):
-        _, ledger = run_point_ledgered(
-            {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 2}
-        )
+        ledger = run_point(
+            {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 2},
+            ledger=True,
+        ).ledger
         broken = dict(ledger)
         broken["conserved"] = False
         broken["residual_s"] = 1e-3
@@ -482,9 +481,10 @@ class TestSurfaces:
     def test_perfetto_counter_events(self):
         from repro.projections.export import ledger_counter_events
 
-        _, ledger = run_point_ledgered(
-            {"app": "jacobi2d", "scale": 0.05, "iterations": 5, "cores": 4}
-        )
+        ledger = run_point(
+            {"app": "jacobi2d", "scale": 0.05, "iterations": 5, "cores": 4},
+            ledger=True,
+        ).ledger
         events = ledger_counter_events(ledger)
         assert len(events) == len(ledger["per_iteration"]) == 5
         for event, row in zip(events, ledger["per_iteration"]):

@@ -23,7 +23,6 @@ from repro.experiments.sweep import (
     SweepSpec,
     build_scenario,
     run_point,
-    run_point_lineaged,
     run_sweep,
 )
 from repro.obs.anomaly import Thresholds, check_lineage, check_run
@@ -486,7 +485,7 @@ def test_lineage_graph_consistency(params):
 
 
 # ---------------------------------------------------------------------------
-# sweep carriage: run_point_lineaged, cache extras, registry
+# sweep carriage: run_point(lineage=True), cache extras, registry
 # ---------------------------------------------------------------------------
 
 _SPEC = SweepSpec(name="lin", base=TINY, axes={"balancer": ["none", "refine-vm"]})
@@ -495,8 +494,9 @@ _SPEC = SweepSpec(name="lin", base=TINY, axes={"balancer": ["none", "refine-vm"]
 class TestSweepCarriage:
     def test_run_point_lineaged_matches_run_point(self):
         params = {**TINY, "balancer": "refine-vm"}
-        summary, payload = run_point_lineaged(params)
-        assert summary == run_point(params)
+        run = run_point(params, lineage=True)
+        payload = run.lineage
+        assert run.summary == run_point(params).summary
         assert payload["schema"] == LINEAGE_SCHEMA
         assert payload["iterations"] == TINY["iterations"]
         assert all(s["strategy"] is not None for s in payload["steps"])
@@ -530,10 +530,8 @@ class TestSweepCarriage:
         assert all(r.cached for r in warm.results)
 
     def test_mutual_exclusions(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_sweep(_SPEC, lineage=True, audit_dir=tmp_path / "audit")
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_sweep(_SPEC, lineage=True, ledger=True)
+        # lineage combines with audit and ledger; only the fabric
+        # driver, whose shard files carry summaries alone, excludes it
         with pytest.raises(ValueError, match="driver='local'"):
             run_sweep(_SPEC, lineage=True, driver="fabric",
                       fabric_dir=tmp_path / "fab")
@@ -706,10 +704,11 @@ class TestSurfaces:
     def test_perfetto_counter_events(self):
         from repro.projections.export import lineage_counter_events
 
-        _, payload = run_point_lineaged(
+        payload = run_point(
             {**TINY, "iterations": 6, "lb_period": 2, "bg": True,
-             "balancer": "refine-vm"}
-        )
+             "balancer": "refine-vm"},
+            lineage=True,
+        ).lineage
         events = lineage_counter_events(payload)
         rows = payload["per_iteration"]
         assert len(events) == 2 * len(rows) == 12

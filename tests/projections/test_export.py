@@ -99,13 +99,14 @@ def test_multiple_jobs_get_distinct_pids(tmp_path):
 
 def _audited_point():
     """One recorded audited sweep point: trace, audit records, profile."""
-    from repro.experiments.sweep import run_point_audited
+    from repro.experiments.sweep import run_point
 
-    _summary, records, trace, profile = run_point_audited(
+    run = run_point(
         {"app": "jacobi2d", "scale": 0.05, "iterations": 6, "cores": 4,
-         "bg": True, "balancer": "refine-vm", "lb_period": 2}
+         "bg": True, "balancer": "refine-vm", "lb_period": 2},
+        audit=True,
     )
-    return records, trace, profile
+    return run.audit_records, run.trace, run.profile
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])

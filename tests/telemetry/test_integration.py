@@ -16,7 +16,6 @@ from repro.experiments.sweep import (
     SweepSpec,
     normalize_params,
     run_point,
-    run_point_audited,
     run_sweep,
 )
 from repro.telemetry import audit_summary
@@ -51,10 +50,11 @@ class TestObservationalPurity:
         params = normalize_params({**TINY, "cores": 4, "bg": True,
                                    "balancer": "refine-vm"})
         plain = run_point(params)
-        audited, records, trace, profile = run_point_audited(params)
-        assert audited == plain
-        assert records, "a balanced run produces audit records"
-        assert trace is not None
+        audited = run_point(params, audit=True)
+        assert audited.summary == plain.summary
+        assert audited.audit_records, "a balanced run produces audit records"
+        assert audited.trace is not None
+        profile = audited.profile
         assert profile["phases"], "the profiler saw the run's hot phases"
         assert "engine.run" in profile["phases"]
 
@@ -67,7 +67,7 @@ class TestObservationalPurity:
         """
         params = normalize_params({**TINY, "cores": 4, "bg": True,
                                    "balancer": "refine-vm"})
-        _, records, _, _ = run_point_audited(params)
+        records = run_point(params, audit=True).audit_records
         est = audit_summary(records)["estimation_error"]
         assert est["max_abs"] < 1e-9
 

@@ -151,14 +151,6 @@ def test_sweep_bad_spec_is_a_clean_error(tmp_path, capsys):
     assert "--workers must be >= 1" in capsys.readouterr().err
 
 
-def test_sweep_instrumentation_flags_are_mutually_exclusive(tmp_path, capsys):
-    assert main(["sweep", "--preset", "smoke", "--lineage", "--ledger"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-    assert main(["sweep", "--preset", "smoke", "--lineage",
-                 "--audit", str(tmp_path / "audit")]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-
-
 def test_sweep_fig2_preset_emits_penalty_and_energy_tables(capsys):
     rc = main(
         ["sweep", "--preset", "fig2", "--apps", "jacobi2d", "--cores", "4",

@@ -2,6 +2,8 @@
 
 import logging
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -95,3 +97,64 @@ class TestLogger:
         assert any(
             isinstance(h, logging.NullHandler) for h in logger.handlers
         )
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+    def test_mode_matches_plain_open(self, tmp_path, umask):
+        from repro.experiments.cache import ResultCache
+        from repro.perf.bench import save_bench
+        from repro.telemetry import write_audit_jsonl
+        from repro.util.atomic import atomic_write, write_json_atomic
+
+        old = os.umask(umask)
+        try:
+            (tmp_path / "plain.txt").write_text("x")
+            with atomic_write(tmp_path / "a.txt") as fh:
+                fh.write("x")
+            write_json_atomic(tmp_path / "sub" / "b.json", {"k": 1})
+            write_audit_jsonl([{"step": 0}], tmp_path / "c.jsonl")
+            save_bench({"kind": "repro-bench"}, tmp_path / "d.json")
+            cache = ResultCache(tmp_path / "cache")
+            cache.put("0" * 64, {}, {"app_time": 1.0})
+        finally:
+            os.umask(old)
+        expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        assert expected == 0o666 & ~umask
+        written = [
+            tmp_path / "a.txt",
+            tmp_path / "sub" / "b.json",
+            tmp_path / "c.jsonl",
+            tmp_path / "d.json",
+            *cache.root.glob("*/*.json"),
+        ]
+        assert len(written) == 5
+        for path in written:
+            assert stat.S_IMODE(path.stat().st_mode) == expected, path
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        from repro.util.atomic import atomic_write
+
+        with pytest.raises(RuntimeError):
+            with atomic_write(tmp_path / "out.json") as fh:
+                fh.write("partial")
+                raise RuntimeError("boom")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path):
+        from repro.util.atomic import write_json_atomic
+
+        path = tmp_path / "out.json"
+        write_json_atomic(path, {"v": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json_atomic(path, {"v": object()})  # not JSON-able
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_bench_cleans_up_on_failure(self, tmp_path):
+        from repro.perf.bench import save_bench
+
+        with pytest.raises(TypeError):
+            save_bench({"bad": object()}, tmp_path / "BENCH_x.json")
+        assert list(tmp_path.iterdir()) == []

@@ -47,6 +47,7 @@ class CommAwareRefineLB(RefineVMInterferenceLB):
     """
 
     name = "refine-vm-interference-comm"
+    reads_location = True
 
     def _best_core_and_task(
         self,

@@ -8,7 +8,10 @@ Paper lines           Here
 ====================  ====================================================
 2–8   classify        :meth:`RefineVMInterferenceLB._classify` builds the
                       ``overheap`` (cores with load > T_avg + ε, line 4)
-                      and ``underset`` (load < T_avg − ε, line 6)
+                      and ``underset`` (load < T_avg − ε, line 6) from
+                      each core's ``task_time`` + ``bg_load`` alone; no
+                      task record is read. An empty overheap ends the
+                      step, and only a donor's tasks are ever sorted
 17–27 ``isheavy``     ``load > t_avg + eps`` with load = Σ t_i + O_p
 29–39 ``islight``     ``t_avg − load > eps``
 10–15 transfer loop   :meth:`decide`: pop the most loaded donor (line 11),
@@ -73,6 +76,10 @@ class RefineVMInterferenceLB(LoadBalancer):
 
     name = "refine-vm-interference"
 
+    #: Whether :meth:`_best_core_and_task` reads the ``location`` map;
+    #: :meth:`decide` builds the map only for strategies that do.
+    reads_location: bool = False
+
     def __init__(
         self,
         epsilon: float = 0.05,
@@ -92,13 +99,21 @@ class RefineVMInterferenceLB(LoadBalancer):
         """Σ t_i (+ O_p when interference-aware) — isheavy/islight's total."""
         return core_tasks_time + (bg_load if self.use_bg_load else 0.0)
 
-    def _t_avg(self, view: LBView) -> float:
-        """Eq. (1), degraded to the plain task average when unaware."""
-        if not view.cores:
+    def _loads(self, view: LBView) -> Dict[int, float]:
+        """core id -> Algorithm 1's load, from the view's per-core sums."""
+        core_load = self._core_load
+        return {c.core_id: core_load(c.task_time, c.bg_load) for c in view.cores}
+
+    def _t_avg(self, view: LBView, load: Optional[Dict[int, float]] = None) -> float:
+        """Eq. (1), degraded to the plain task average when unaware.
+
+        ``load`` is :meth:`_loads` of ``view`` when the caller has it.
+        """
+        if load is None:
+            load = self._loads(view)
+        if not load:
             return 0.0
-        return sum(
-            self._core_load(c.task_time, c.bg_load) for c in view.cores
-        ) / len(view.cores)
+        return sum(load.values()) / len(load)
 
     def _eps(self, t_avg: float) -> float:
         return self.epsilon if self.absolute_epsilon else self.epsilon * t_avg
@@ -112,31 +127,37 @@ class RefineVMInterferenceLB(LoadBalancer):
     # Algorithm 1
     # ------------------------------------------------------------------
     def decide(self, view: LBView) -> List[Migration]:
-        t_avg = self._t_avg(view)
+        # mutable working state: per-core load, kept current as
+        # migrations are decided
+        load = self._loads(view)
+        t_avg = self._t_avg(view, load)
         eps = self._eps(t_avg)
 
-        # mutable working state: per-core load, task lists, and the task
-        # location map (kept current as migrations are decided; subclasses
-        # such as the communication-aware variant use it)
-        load: Dict[int, float] = {}
-        tasks: Dict[int, List[TaskRecord]] = {}
-        location: Dict[ChareKey, int] = {}
-        for c in view.cores:
-            load[c.core_id] = self._core_load(c.task_time, c.bg_load)
-            # biggest-first ordering supports the "biggest task" selection
-            tasks[c.core_id] = sorted(
-                c.tasks, key=lambda t: (-t.cpu_time, t.chare)
-            )
-            for t in c.tasks:
-                location[t.chare] = c.core_id
-
         overheap, underset = self._classify(view, load, t_avg, eps)
+        if not overheap:  # line 10's loop would not run
+            return []
+
+        cores = {c.core_id: c for c in view.cores}
+        # donor -> its tasks biggest-first (for the "biggest task"
+        # selection), sorted when the donor is first popped. A receiver
+        # never turns heavy, so only donors' lists are ever read.
+        tasks: Dict[int, List[TaskRecord]] = {}
+        # the task location map, kept current, for strategies whose
+        # receiver choice reads it (communication awareness)
+        location: Optional[Dict[ChareKey, int]] = None
+        if self.reads_location:
+            location = view.task_map()
 
         migrations: List[Migration] = []
         while len(overheap) > 0:  # line 10
             donor, _donor_load = overheap.pop()  # line 11
+            donor_tasks = tasks.get(donor)
+            if donor_tasks is None:
+                donor_tasks = tasks[donor] = sorted(
+                    cores[donor].tasks, key=lambda t: (-t.cpu_time, t.chare)
+                )
             best = self._best_core_and_task(  # line 12
-                donor, tasks[donor], load, underset, t_avg, eps,
+                donor, donor_tasks, load, underset, t_avg, eps,
                 location=location,
             )
             if best is None:
@@ -147,9 +168,9 @@ class RefineVMInterferenceLB(LoadBalancer):
             migrations.append(Migration(chare=task.chare, src=donor, dst=dest))  # line 13
 
             # line 14: updateHeapAndSet()
-            tasks[donor].remove(task)
-            tasks[dest].append(task)
-            location[task.chare] = dest
+            donor_tasks.remove(task)
+            if location is not None:
+                location[task.chare] = dest
             load[donor] -= task.cpu_time
             load[dest] += task.cpu_time
             if load[donor] - t_avg > eps:  # still heavy: back on the heap
@@ -201,9 +222,10 @@ class RefineVMInterferenceLB(LoadBalancer):
         underloaded core that does not get overloaded after the task
         transfer"). Returns the first (i.e. biggest) feasible pair.
 
-        ``location`` is the current (mid-decision) task -> core map; the
-        base algorithm does not use it, but subclasses refining the
-        receiver choice (e.g. communication awareness) do.
+        ``location`` is the current (mid-decision) task -> core map, or
+        None unless the class sets :attr:`reads_location`; the base
+        algorithm does not use it, but subclasses refining the receiver
+        choice (e.g. communication awareness) do.
         """
         if not underset:
             self.note_candidate(

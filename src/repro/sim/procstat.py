@@ -25,6 +25,8 @@ from repro.sim.cpu import SharedCore
 
 __all__ = ["CoreStatSnapshot", "ProcStat"]
 
+_new = object.__new__
+
 
 @dataclass(frozen=True)
 class CoreStatSnapshot:
@@ -55,12 +57,24 @@ class CoreStatSnapshot:
         """Windowed counters between ``earlier`` and this snapshot."""
         if earlier.time > self.time:
             raise ValueError("earlier snapshot is newer than this one")
-        return CoreStatSnapshot(
-            time=self.time - earlier.time,
-            busy=self.busy - earlier.busy,
-            idle=self.idle - earlier.idle,
-            self_cpu=self.self_cpu - earlier.self_cpu,
+        return _snapshot(
+            self.time - earlier.time,
+            self.busy - earlier.busy,
+            self.idle - earlier.idle,
+            self.self_cpu - earlier.self_cpu,
         )
+
+
+def _snapshot(
+    time: float, busy: float, idle: float, self_cpu: float
+) -> CoreStatSnapshot:
+    """``CoreStatSnapshot(...)`` minus the frozen-dataclass ``__init__``.
+
+    Two are made per core per LB step; the class has no checks to skip.
+    """
+    snap = _new(CoreStatSnapshot)
+    snap.__dict__.update(time=time, busy=busy, idle=idle, self_cpu=self_cpu)
+    return snap
 
 
 class ProcStat:
@@ -94,16 +108,25 @@ class ProcStat:
         """Current cumulative counters for ``core_id``."""
         core = self._cores[core_id]
         core.sync()
-        return CoreStatSnapshot(
-            time=core.engine.now,
-            busy=core.busy_time,
-            idle=core.idle_time,
-            self_cpu=core.owner_cpu(self._owner),
+        return _snapshot(
+            core.engine.now,
+            core.busy_time,
+            core.idle_time,
+            core.owner_cpu(self._owner),
         )
 
     def snapshot_all(self) -> Dict[int, CoreStatSnapshot]:
         """Snapshots for every observed core."""
         return {cid: self.snapshot(cid) for cid in self._cores}
+
+    def is_current(self, snaps: Mapping[int, CoreStatSnapshot]) -> bool:
+        """True if every snapshot in ``snaps`` is of its core's current time.
+
+        Counters only advance with simulated time, so such snapshots equal
+        what :meth:`snapshot_all` would return now.
+        """
+        cores = self._cores
+        return all(cores[cid].engine.now == s.time for cid, s in snaps.items())
 
     @staticmethod
     def background_load(

@@ -110,10 +110,32 @@ class AuditTrail:
     ) -> Dict[str, Any]:
         """Open a step record from the balancer's decision (no runtime
         context yet); returns the (mutable) record."""
+        # each migrating chare's record, read from its source core: the
+        # only records the step has to build
+        by_core = {c.core_id: c for c in view.cores} if migrations else {}
+        on_src: Dict[int, Dict[ChareKey, Any]] = {}
+        moved = []
         bytes_moved = 0.0
-        size = {t.chare: t.state_bytes for c in view.cores for t in c.tasks}
         for m in migrations:
-            bytes_moved += size.get(m.chare, 0.0)
+            records = on_src.get(m.src)
+            if records is None:
+                src = by_core.get(m.src)
+                records = on_src[m.src] = (
+                    {} if src is None else {t.chare: t for t in src.tasks}
+                )
+            rec = records.get(m.chare)
+            cpu_time = 0.0 if rec is None else rec.cpu_time
+            nbytes = 0.0 if rec is None else rec.state_bytes
+            bytes_moved += nbytes
+            moved.append(
+                {
+                    "chare": _chare_list(m.chare),
+                    "src": m.src,
+                    "dst": m.dst,
+                    "cpu_time": cpu_time,
+                    "state_bytes": nbytes,
+                }
+            )
         record: Dict[str, Any] = {
             "schema": AUDIT_SCHEMA,
             "step": len(self.records),
@@ -126,7 +148,7 @@ class AuditTrail:
             "cores": [
                 {
                     "core": c.core_id,
-                    "tasks": len(c.tasks),
+                    "tasks": c.num_tasks,
                     "task_time": c.task_time,
                     "bg_est": c.bg_load,
                     "bg_true": None,
@@ -135,24 +157,7 @@ class AuditTrail:
                 for c in view.cores
             ],
             "candidates": list(candidates),
-            "migrations": [
-                {
-                    "chare": _chare_list(m.chare),
-                    "src": m.src,
-                    "dst": m.dst,
-                    "cpu_time": next(
-                        (
-                            t.cpu_time
-                            for c in view.cores
-                            for t in c.tasks
-                            if t.chare == m.chare
-                        ),
-                        0.0,
-                    ),
-                    "state_bytes": size.get(m.chare, 0.0),
-                }
-                for m in migrations
-            ],
+            "migrations": moved,
             "num_migrations": len(migrations),
             "bytes_moved": bytes_moved,
             "migration_cost_s": None,

@@ -28,6 +28,7 @@ class _FakeCore:
     def __init__(self, core_id, tasks, bg_load):
         self.core_id = core_id
         self.tasks = tasks
+        self.num_tasks = len(tasks)
         self.task_time = sum(t.cpu_time for t in tasks)
         self.bg_load = bg_load
 
